@@ -13,8 +13,9 @@
 // in submission order, byte-identical across --jobs values and across
 // kill/resume splits; progress and summaries go to stderr.
 //
-// Exit codes: 0 campaign complete, 2 spec/usage error, 3 incomplete (some
-// cells skipped by --max-cells — rerun to continue from the journal).
+// Exit codes: 0 campaign complete, 1 merged CSV could not be written,
+// 2 spec/usage error, 3 incomplete (some cells skipped by --max-cells —
+// rerun to continue from the journal).
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -153,10 +154,13 @@ int main(int argc, char** argv) {
                  options.journal_path.empty() ? "" : ", journal ",
                  options.journal_path.c_str());
     if (report.complete() && !csv_dir.empty()) {
-      if (campaign::write_merged_csv(csv_dir, report)) {
-        std::fprintf(stderr, "merged CSV: %s/%s.csv\n", csv_dir.c_str(),
-                     report.name.c_str());
+      if (!campaign::write_merged_csv(csv_dir, report)) {
+        std::fprintf(stderr, "campaign: cannot write merged CSV %s/%s.csv\n",
+                     csv_dir.c_str(), report.name.c_str());
+        return 1;
       }
+      std::fprintf(stderr, "merged CSV: %s/%s.csv\n", csv_dir.c_str(),
+                   report.name.c_str());
     }
     if (!report.complete()) {
       std::fprintf(stderr,

@@ -36,7 +36,7 @@ void BM_EventQueueSelfPerpetuating(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
     std::function<void()> tick = [&]() {
-      if (sim.now() < TimePoint(us(100))) sim.schedule_after(ns(10), [&]() { tick(); });
+      if (sim.now() < TimePoint(us(100))) sim.schedule_local(ns(10), [&]() { tick(); });
     };
     sim.schedule_at(TimePoint{}, [&]() { tick(); });
     sim.run();

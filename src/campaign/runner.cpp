@@ -126,8 +126,7 @@ bool write_merged_csv(const std::string& dir, const CampaignReport& report) {
   for (const CellOutcome& out : report.outcomes) {
     std::fprintf(f, "%s\n", out.csv_row.c_str());
   }
-  std::fclose(f);
-  return true;
+  return std::fclose(f) == 0;  // buffered write errors surface here
 }
 
 }  // namespace dcpim::campaign

@@ -78,7 +78,7 @@ CampaignReport run_campaign(const CampaignSpec& spec,
 /// per cell in submission order, TRUNCATING any previous file (unlike the
 /// bench append_csv convention) so the merged CSV of a resumed campaign is
 /// byte-identical to a single-shot run. Returns false if the report is
-/// incomplete or the file is unwritable.
+/// incomplete or the file cannot be opened, written or closed.
 bool write_merged_csv(const std::string& dir, const CampaignReport& report);
 
 }  // namespace dcpim::campaign

@@ -72,47 +72,18 @@ Simulator::Entry Simulator::heap_pop() {
   return top;
 }
 
-EventId Simulator::schedule_at(TimePoint t, Callback cb) {
+void Simulator::schedule_at(TimePoint t, Callback cb) {
   DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
   if (t < now_) t = now_;  // degrade gracefully in release builds
-  const EventId id = next_id_++;
-  heap_push(Entry{t, id, slab_.store(std::move(cb))});
-  return id;
-}
-
-bool Simulator::cancel(EventId id) {
-  if (id == kInvalidEvent || id >= next_id_) return false;
-  if (cancelled_.count(id) != 0) return false;
-  const bool pending =
-      std::any_of(heap_.begin(), heap_.end(),
-                  [id](const Entry& e) { return e.id == id; });
-  if (!pending) return false;  // already executed
-  cancelled_.insert(id);
-  return true;
-}
-
-bool Simulator::pop_next(Entry& out) {
-  while (!heap_.empty()) {
-    Entry e = heap_pop();
-    if (!cancelled_.empty() && cancelled_.erase(e.id) > 0) {
-      // A tombstoned event still owns a slab slot; recycle it (and destroy
-      // the callback — whatever it captured must not outlive cancellation
-      // by more than this pop).
-      slab_.take(e.slot);
-      continue;
-    }
-    out = e;
-    return true;
-  }
-  return false;
+  heap_push(Entry{t, next_id_++, slab_.store(std::move(cb))});
 }
 
 // sa-hot: the event loop proper — every simulated event passes through.
 void Simulator::run(TimePoint until) {
   check_detail::ScopedSimTimeSource time_source(this, &sim_now_for_checks);
   stopped_ = false;
-  Entry entry;
-  while (!stopped_ && pop_next(entry)) {
+  while (!stopped_ && !heap_.empty()) {
+    const Entry entry = heap_pop();
     if (entry.t > until) {
       // Put it back; caller may resume later (its slab slot is untouched).
       heap_push(entry);
@@ -141,8 +112,8 @@ std::size_t Simulator::run_steps(std::size_t max_events) {
   check_detail::ScopedSimTimeSource time_source(this, &sim_now_for_checks);
   stopped_ = false;
   std::size_t done = 0;
-  Entry entry;
-  while (!stopped_ && done < max_events && pop_next(entry)) {
+  while (!stopped_ && done < max_events && !heap_.empty()) {
+    const Entry entry = heap_pop();
     DCPIM_CHECK_GE(entry.t, now_, "event queue is not time-ordered");
     now_ = entry.t;
     ++executed_;

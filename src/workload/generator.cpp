@@ -37,7 +37,7 @@ void PoissonGenerator::schedule_next(std::size_t sender_idx) {
   const Time delay =
       // sa-ok(unit-raw): exponential() draws a double-valued mean
       ps(net_.rng().exponential(static_cast<double>(mean_interarrival_.raw())));
-  net_.sim().schedule_after(delay,
+  net_.sim().schedule_local(delay,
                             [this, sender_idx]() { arrival(sender_idx); });
 }
 

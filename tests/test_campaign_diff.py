@@ -4,6 +4,7 @@
 Pins the invalidation taxonomy: a base-key edit invalidates every cell, an
 axis-value edit shows up as added+removed labels, an untouched spec is all
 unchanged, and --journal annotates which cells the journal actually holds.
+Also pins that `bench/campaign --csv` into a missing directory fails loudly.
 Requires the built `bench/campaign` binary; skips (with a notice) when the
 build directory does not exist under the default name.
 """
@@ -80,6 +81,15 @@ class CampaignDiff(unittest.TestCase):
         proc = run_diff(str(self.old), str(bad))
         self.assertEqual(proc.returncode, 2)
         self.assertIn("bad.campaign:", proc.stderr)
+
+    def test_unwritable_csv_dir_exits_with_diagnostic(self):
+        missing = self.dir / "missing"
+        proc = subprocess.run([str(CAMPAIGN), "--spec", str(SMOKE),
+                               "--journal", "none", "--csv", str(missing)],
+                              capture_output=True, text=True)
+        self.assertNotEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn(f"cannot write merged CSV {missing}/smoke.csv",
+                      proc.stderr)
 
     def test_journal_annotation(self):
         # Fabricate a journal holding exactly one of the smoke cells: take

@@ -1,7 +1,7 @@
 // Determinism regression: two identical seeded leaf-spine dcPIM runs must
-// produce byte-identical event traces. Catches accidental dependence on
-// pointer values, unordered-container iteration order leaking into event
-// scheduling, or uninitialized reads perturbing the RNG stream.
+// produce byte-identical network event traces. Catches accidental
+// dependence on pointer values, unordered-container iteration order leaking
+// into event scheduling, or uninitialized reads perturbing the RNG stream.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,24 +11,44 @@
 
 #include "core/dcpim_host.h"
 #include "net/topology.h"
-#include "stats/trace.h"
 #include "workload/cdf.h"
 #include "workload/generator.h"
 
 namespace dcpim {
 namespace {
 
-/// Runs one seeded scenario to completion and returns a hash of the full
-/// packet/event trace (deliveries included, so the interleaving of every
-/// data packet contributes).
+/// Runs one seeded scenario to completion and returns a hash of its full
+/// network-level trace: flow arrivals and completions, drops, and every
+/// payload delivery (so the interleaving of every data packet contributes).
 std::size_t traced_run_hash(std::uint64_t seed) {
   net::NetConfig ncfg;
   ncfg.seed = seed;
   auto network = std::make_unique<net::Network>(ncfg);
 
-  stats::Tracer::Options topts;
-  topts.record_deliveries = true;
-  stats::Tracer tracer(*network, topts);
+  std::ostringstream trace;
+  std::size_t events = 0;
+  network->add_arrival_observer([&](const net::Flow& f) {
+    ++events;
+    trace << network->sim().now() << " arrive " << f.id << ' ' << f.src
+          << ' ' << f.size << '\n';
+  });
+  network->add_flow_observer([&](const net::Flow& f) {
+    ++events;
+    trace << network->sim().now() << " complete " << f.id << ' ' << f.dst
+          << ' ' << f.size << '\n';
+  });
+  network->add_drop_observer([&](const net::Packet& p, const net::Port& port,
+                                 net::DropReason reason) {
+    ++events;
+    trace << network->sim().now() << " drop " << p.flow_id << ' '
+          << port.owner().name() << ' ' << static_cast<int>(p.priority) << ' '
+          << p.unscheduled << ' ' << p.size << ' ' << net::to_string(reason)
+          << '\n';
+  });
+  network->add_payload_observer([&](Bytes fresh, TimePoint at) {
+    ++events;
+    trace << at << " deliver " << fresh << '\n';
+  });
 
   core::DcpimConfig cfg;
   net::LeafSpineParams p;
@@ -49,10 +69,8 @@ std::size_t traced_run_hash(std::uint64_t seed) {
 
   network->sim().run(TimePoint(ms(5)));
 
-  std::ostringstream csv;
-  tracer.dump_csv(csv);
-  EXPECT_GT(tracer.events().size(), 10u);
-  return std::hash<std::string>{}(csv.str());
+  EXPECT_GT(events, 10u);
+  return std::hash<std::string>{}(trace.str());
 }
 
 TEST(DeterminismTest, IdenticalSeedsProduceIdenticalTraces) {

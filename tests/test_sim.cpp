@@ -1,4 +1,4 @@
-// Unit tests: discrete-event simulator ordering, cancellation, stop/resume.
+// Unit tests: discrete-event simulator ordering, relative timing, stop/resume.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -41,27 +41,10 @@ TEST(SimulatorTest, ScheduleAfterIsRelative) {
   Simulator sim;
   TimePoint seen = kTimeUnset;
   sim.schedule_at(TimePoint(us(5)), [&]() {
-    sim.schedule_after(us(2), [&]() { seen = sim.now(); });
+    sim.schedule_local(us(2), [&]() { seen = sim.now(); });
   });
   sim.run();
   EXPECT_EQ(seen, TimePoint(us(7)));
-}
-
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator sim;
-  bool ran = false;
-  const EventId id = sim.schedule_at(TimePoint(us(1)), [&]() { ran = true; });
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));  // second cancel fails
-  sim.run();
-  EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, CancelAfterExecutionReturnsFalse) {
-  Simulator sim;
-  const EventId id = sim.schedule_at(TimePoint(us(1)), []() {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(id));
 }
 
 TEST(SimulatorTest, RunUntilStopsAtBoundaryAndResumes) {
@@ -115,7 +98,7 @@ TEST(SimulatorTest, SelfPerpetuatingChainBoundedByUntil) {
   int ticks = 0;
   std::function<void()> tick = [&]() {
     ++ticks;
-    sim.schedule_after(us(1), [&]() { tick(); });
+    sim.schedule_local(us(1), [&]() { tick(); });
   };
   sim.schedule_at(TimePoint{}, [&]() { tick(); });
   sim.run(TimePoint(us(100)));
@@ -126,38 +109,10 @@ TEST(SimulatorTest, CountsExecutedAndPending) {
   Simulator sim;
   sim.schedule_at(TimePoint(us(1)), []() {});
   sim.schedule_at(TimePoint(us(2)), []() {});
-  const EventId id = sim.schedule_at(TimePoint(us(3)), []() {});
+  sim.schedule_at(TimePoint(us(3)), []() {});
   EXPECT_EQ(sim.pending(), 3u);
-  sim.cancel(id);
-  EXPECT_EQ(sim.pending(), 2u);
   sim.run();
-  EXPECT_EQ(sim.events_executed(), 2u);
-  EXPECT_EQ(sim.pending(), 0u);
-}
-
-TEST(SimulatorTest, PendingStaysConsistentUnderRepeatedCancel) {
-  // Regression: a rejected cancel (double-cancel or cancel-after-run) must
-  // not leave a tombstone behind, or pending() = heap - tombstones would
-  // underflow once the heap drains.
-  Simulator sim;
-  const EventId id = sim.schedule_at(TimePoint(us(1)), []() {});
-  sim.schedule_at(TimePoint(us(2)), []() {});
-  EXPECT_TRUE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));
-  EXPECT_FALSE(sim.cancel(id));
-  EXPECT_EQ(sim.pending(), 1u);
-  sim.run();
-  EXPECT_EQ(sim.pending(), 0u);
-
-  // Cancelling an already-executed id is refused and changes nothing.
-  const EventId ran = sim.schedule_at(TimePoint(us(3)), []() {});
-  sim.run();
-  EXPECT_FALSE(sim.cancel(ran));
-  EXPECT_FALSE(sim.cancel(kInvalidEvent));
-  EXPECT_EQ(sim.pending(), 0u);
-  sim.schedule_at(TimePoint(us(4)), []() {});
-  EXPECT_EQ(sim.pending(), 1u);
-  sim.run();
+  EXPECT_EQ(sim.events_executed(), 3u);
   EXPECT_EQ(sim.pending(), 0u);
 }
 

@@ -43,8 +43,7 @@ and checks the semantic properties the ROADMAP's correctness story rests on:
 
   unit-raw        every `.raw()` escape from a strong unit type needs an
                   sa-ok(unit-raw) justification (successor of lint_dcpim's
-                  regex rule; the clang frontend checks the receiver's type,
-                  the text frontend flags every .raw()/->raw() call).
+                  regex rule; every .raw()/->raw() call is flagged).
 
   shard-ownership every mutable sim-state field belongs to an ownership
                   domain (per-host, per-switch-port, per-simulator,
@@ -102,12 +101,10 @@ the run, a count below it prints a reminder to tighten. Unused and
 malformed suppressions are violations themselves, so the suppression set
 can only shrink or be re-justified, never silently rot.
 
-Frontends: with python libclang bindings available (--frontend clang or
-auto), translation units are parsed through the real AST driven by
-compile_commands.json. Without them (this repo's CI containers are
-gcc-only), a built-in tokenizer/parser frontend produces the same TU model
-from the source text; it is what the fixture corpus regression-tests. Use
---frontend text to force it.
+Frontend: a built-in tokenizer/parser builds each translation unit's
+model from the source text, so the analyzer needs nothing beyond python3
+(compile_commands.json only supplies the file list). The fixture corpus
+regression-tests it.
 
 Usage:
     tools/dcpim_sa.py --compdb build/compile_commands.json \
@@ -591,8 +588,7 @@ def match_brace(toks, i):
 def collect_container_decls(toks, out: set, match_tok):
     """Records declared names whose type satisfies `match_tok(toks, i)`:
     members, locals, and `using X = std::...<...>` aliases. The lookup is
-    name-based — precise enough for this codebase's unique member names,
-    and the clang frontend does it by real type."""
+    name-based — precise enough for this codebase's unique member names."""
     aliases: set = set()
     n = len(toks)
     for i, t in enumerate(toks):
@@ -1393,139 +1389,6 @@ def text_parse_file(path: Path, rel: str) -> TUModel:
     for fn in model.functions:
         if any(ln in hot_lines for ln in range(fn.line - 2, fn.line + 1)):
             fn.is_hot = True
-    return model
-
-
-# =============================================================================
-# Clang frontend (optional): builds the same TU model through libclang
-# =============================================================================
-
-def try_load_clang():
-    try:
-        import clang.cindex as cindex  # type: ignore
-        cindex.Index.create()
-        return cindex
-    except Exception:
-        return None
-
-
-def clang_parse_file(cindex, path: Path, rel: str, args) -> TUModel:
-    """AST-based extraction. Only reached when python libclang bindings are
-    installed; produces the same TUModel the rule engine consumes, with
-    type-accurate unordered-container and strong-type detection."""
-    index = cindex.Index.create()
-    tu = index.parse(str(path), args=args)
-    source = path.read_text(encoding="utf-8")
-    ttoks, comments = tokenize(source)
-    model = TUModel(file=rel, comments=comments)
-    ck = cindex.CursorKind
-
-    def qualified(cur):
-        parts, c = [], cur
-        while c is not None and c.kind != ck.TRANSLATION_UNIT:
-            if c.spelling:
-                parts.insert(0, c.spelling)
-            c = c.semantic_parent
-        return "::".join(parts[-2:]) if len(parts) > 1 else parts[0]
-
-    def walk_body(cur, fn):
-        for child in cur.walk_preorder():
-            loc = child.location
-            if loc.file is None or Path(str(loc.file)).name != path.name:
-                continue
-            if child.kind == ck.CALL_EXPR and child.spelling:
-                fn.calls.append((child.spelling, loc.line))
-                if child.spelling in SCHEDULING_CALLS:
-                    fn.schedules = True
-                if child.spelling in ALLOC_CALLS:
-                    fn.allocs.append((child.spelling + "()", loc.line))
-                if child.spelling in BANNED_BARE_CALLS:
-                    fn.banned.append(
-                        (BANNED_BARE_CALLS[child.spelling], loc.line))
-            elif child.kind == ck.CXX_NEW_EXPR:
-                fn.allocs.append(("new", loc.line))
-            elif child.kind == ck.DECL_REF_EXPR:
-                t = child.type.spelling
-                if "random_device" in t or "chrono" in t and "clock" in t:
-                    fn.banned.append((t, loc.line))
-            elif child.kind == ck.CXX_FOR_RANGE_STMT:
-                for sub in child.get_children():
-                    if UNORDERED_RE.search(sub.type.spelling or ""):
-                        fn.range_fors.append((sub.spelling or "<expr>",
-                                              loc.line))
-                        break
-
-    for cur in tu.cursor.walk_preorder():
-        loc = cur.location
-        if loc.file is None or str(loc.file) != str(path):
-            continue
-        if cur.kind == ck.ENUM_DECL and cur.spelling:
-            model.enums[cur.spelling] = [
-                c.spelling for c in cur.get_children()
-                if c.kind == ck.ENUM_CONSTANT_DECL]
-        elif cur.kind in (ck.FUNCTION_DECL, ck.CXX_METHOD, ck.CONSTRUCTOR,
-                          ck.DESTRUCTOR) and cur.is_definition():
-            fn = FunctionDef(name=qualified(cur), simple=cur.spelling,
-                             file=rel, line=loc.line)
-            walk_body(cur, fn)
-            model.functions.append(fn)
-        elif cur.kind == ck.SWITCH_STMT:
-            labels = set()
-            has_default = False
-            for sub in cur.walk_preorder():
-                if sub.kind == ck.CASE_STMT:
-                    toks = list(sub.get_tokens())
-                    for tk in toks[1:]:
-                        if tk.spelling == ":":
-                            break
-                        if tk.spelling.isidentifier():
-                            labels.add(tk.spelling)
-                elif sub.kind == ck.DEFAULT_STMT:
-                    has_default = True
-            if model.functions:
-                model.functions[-1].switches.append(
-                    SwitchStmt(rel, loc.line, labels, has_default))
-        elif cur.kind == ck.CALL_EXPR and cur.spelling == "raw":
-            model.raw_calls.append(loc.line)
-        elif cur.kind == ck.FIELD_DECL or cur.kind == ck.VAR_DECL:
-            if UNORDERED_RE.search(cur.type.spelling or ""):
-                model.unordered_decls.add(cur.spelling)
-    hot_lines = {ln for ln, c in model.comments.items()
-                 if SA_HOT_RE.search(c)}
-    for fn in model.functions:
-        if any(ln in hot_lines for ln in range(fn.line - 2, fn.line + 1)):
-            fn.is_hot = True
-    # v2 facts (classes, ownership writes, ordered decls, heavy params) come
-    # from the token-level collectors even under libclang: they are
-    # comment- and declarator-shaped and the token pass is exact enough,
-    # which keeps both frontends rule-for-rule equivalent.
-    collect_container_decls(ttoks, model.ordered_decls, is_ordered_tok)
-    parse_classes(ttoks, rel, model.classes)
-    shadow = TUModel(file=rel)
-    find_function_defs(ttoks, rel, shadow)
-    shadow.classes = model.classes
-    attribute_owners(shadow)
-    by_simple: dict = {}
-    for sfn in shadow.functions:
-        by_simple.setdefault(sfn.simple, []).append(sfn)
-    for fn in model.functions:
-        cands = by_simple.get(fn.simple, [])
-        best = None
-        for sfn in cands:
-            if abs(sfn.line - fn.line) <= 2 and (
-                    best is None or
-                    abs(sfn.line - fn.line) < abs(best.line - fn.line)):
-                best = sfn
-        if best is not None:
-            fn.owner = best.owner
-            fn.writes = best.writes
-            fn.member_calls = best.member_calls
-            fn.heavy_params = best.heavy_params
-            fn.typed_allocs = best.typed_allocs
-            fn.sched_captures = best.sched_captures
-            fn.sched_sites = best.sched_sites
-            fn.lookahead_ctors = best.lookahead_ctors
-            fn.packet_params = best.packet_params
     return model
 
 
@@ -2352,16 +2215,12 @@ def parse_files_text(files, root, jobs, cache_dir, flag_salt=""):
 def load_compdb(path: Path):
     db = json.loads(path.read_text(encoding="utf-8"))
     files = []
-    args_by_file = {}
     for entry in db:
         f = Path(entry["file"])
         if not f.is_absolute():
             f = Path(entry["directory"]) / f
         files.append(f)
-        raw = entry.get("command", "")
-        args = [a for a in raw.split() if a.startswith(("-I", "-D", "-std"))]
-        args_by_file[f] = args
-    return files, args_by_file
+    return files
 
 
 def main() -> int:
@@ -2376,8 +2235,6 @@ def main() -> int:
                         default=Path(__file__).resolve().parent.parent,
                         help="repository root (default: this script's repo)")
     parser.add_argument("--json", type=Path, help="write JSON report here")
-    parser.add_argument("--frontend", choices=("auto", "clang", "text"),
-                        default="auto")
     parser.add_argument("--hot-scope", default=",".join(DEFAULT_HOT_SCOPE),
                         help="comma-separated path prefixes hot-alloc "
                              "traversal may descend into ('*' = everywhere)")
@@ -2388,11 +2245,10 @@ def main() -> int:
     parser.add_argument("--rules", default=",".join(RULES),
                         help="comma-separated rules to enable")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel parse workers; 0 = one per core "
-                             "(text frontend only)")
+                        help="parallel parse workers; 0 = one per core")
     parser.add_argument("--cache-dir", type=Path,
                         help="cache parsed TU models here, keyed by "
-                             "tool+file content hash (text frontend only)")
+                             "tool+file content hash")
     parser.add_argument("--hot-cost-json", type=Path,
                         help="write the ranked hot-path cost report here")
     parser.add_argument("--lifetime-json", type=Path,
@@ -2415,9 +2271,8 @@ def main() -> int:
             p for p in args.hot_scope.split(",") if p)
         if args.hot_scope == ",".join(DEFAULT_HOT_SCOPE):
             hot_scope = None  # fixture mode: traverse everywhere
-        args_by_file = {}
     elif args.compdb:
-        cpps, args_by_file = load_compdb(args.compdb)
+        cpps = load_compdb(args.compdb)
         src = root / "src"
         files = sorted({f for f in cpps
                         if f.is_relative_to(src)} |
@@ -2430,39 +2285,12 @@ def main() -> int:
         print("dcpim_sa: pass --compdb or --files", file=sys.stderr)
         return 2
 
-    frontend = "text"
-    cindex = None
-    if args.frontend in ("auto", "clang"):
-        cindex = try_load_clang()
-        if cindex is not None:
-            frontend = "clang"
-        elif args.frontend == "clang":
-            print("dcpim_sa: --frontend clang requested but python "
-                  "libclang bindings are unavailable", file=sys.stderr)
-            return 2
-
     jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
-    cache_hits = 0
-    files_text = {}
-    if frontend == "clang":
-        # clang models depend on per-file compile args, so they are neither
-        # cached nor parallelized; only the gcc-only text path needs speed.
-        models = []
-        for f in files:
-            rel = f.relative_to(root).as_posix() if f.is_relative_to(root) \
-                else f.as_posix()
-            files_text[rel] = f.read_text(encoding="utf-8").splitlines()
-            if f.suffix == ".cpp":
-                models.append(clang_parse_file(
-                    cindex, f, rel, args_by_file.get(f, [])))
-            else:
-                models.append(text_parse_file(f, rel))
-    else:
-        flag_salt = f"rules={args.rules};hot_scope={args.hot_scope}"
-        models, rels, cache_hits = parse_files_text(
-            files, root, jobs, args.cache_dir, flag_salt)
-        for f, rel in zip(files, rels):
-            files_text[rel] = f.read_text(encoding="utf-8").splitlines()
+    flag_salt = f"rules={args.rules};hot_scope={args.hot_scope}"
+    models, rels, cache_hits = parse_files_text(
+        files, root, jobs, args.cache_dir, flag_salt)
+    files_text = {rel: f.read_text(encoding="utf-8").splitlines()
+                  for f, rel in zip(files, rels)}
 
     enabled = set(args.rules.split(","))
     analyzer = Analyzer(models, files_text, hot_scope, kind_paths,
@@ -2579,7 +2407,6 @@ def main() -> int:
             }, indent=2) + "\n", encoding="utf-8")
 
     report = {
-        "frontend": frontend,
         "files": len(files),
         "functions": sum(len(m.functions) for m in models),
         "cache_hits": cache_hits,
@@ -2603,7 +2430,7 @@ def main() -> int:
         by_rule[f.rule] = by_rule.get(f.rule, 0) + 1
     detail = ", ".join(f"{r}={n}" for r, n in sorted(by_rule.items())) \
         or "clean"
-    print(f"dcpim_sa[{frontend}]: {len(files)} files, "
+    print(f"dcpim_sa: {len(files)} files, "
           f"{report['functions']} functions, {len(findings)} finding(s) "
           f"({detail}), suppressions "
           f"{json.dumps(sup_counts, sort_keys=True)}", file=sys.stderr)

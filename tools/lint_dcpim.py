@@ -37,8 +37,8 @@ see .github/workflows/ci.yml):
                     factories so recycling stays type-safe. This is the
                     fast regex pre-filter of the dcpim-sa `lifetime`
                     rule's factory-discipline class (tools/dcpim_sa.py
-                    checks the same thing semantically, through typedefs
-                    and both frontends).
+                    checks the same thing semantically, through
+                    typedefs).
 
   zero-lookahead    no raw `schedule_at`/`schedule_after` call with a
                     literal-zero time argument in src/ — a zero-delay event
@@ -162,12 +162,6 @@ PACKET_FACTORY = re.compile(
     r"|\bmake_(?:unique|shared)\s*<\s*(?:[\w:]+::)?\w*Packet\s*[>,]")
 SA_OK_LIFETIME_TAG = "sa-ok(lifetime):"
 
-# The retired `packet_spraying` boolean (replaced by NetConfig::lb_policy).
-# `\b` before `packet` keeps the sanctioned set_packet_spraying() shim off
-# the radar (the preceding `_` kills the word boundary), so only revived
-# uses of the bare field are flagged.
-RETIRED_SPRAYING = re.compile(r"\bpacket_spraying\b")
-
 # A hand-built scenario in a spec-retired bench binary. Matching the type
 # name (rather than construction syntax) catches every variant: direct
 # construction, default_setup() copies being mutated, helper functions.
@@ -260,13 +254,6 @@ def lint_file(path: Path, rel: str) -> list[str]:
                 f"execution (DESIGN.md §15); use schedule_local/"
                 f"schedule_local_at for same-shard events, or justify with "
                 f"`// {PDES_LOCAL_TAG}` / `// {SA_OK_PDES_TAG}`")
-
-        if RETIRED_SPRAYING.search(code):
-            violations.append(
-                f"{where}: [packet-spraying] the `packet_spraying` boolean "
-                f"is retired; set NetConfig::lb_policy (kSpray/kEcmpFlow/"
-                f"kFlowlet/kEcmpWeighted) or, for legacy callers only, "
-                f"set_packet_spraying()")
 
         if (("packet-factory", rel) not in EXEMPT
                 and PACKET_FACTORY.search(code)
