@@ -7,10 +7,14 @@
 // horizons (and the FatTree size) toward paper scale.
 #pragma once
 
+#include <cerrno>
 #include <chrono>  // wall-clock ETA only; sim code never reads real time
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -57,6 +61,33 @@ inline int& jobs_flag() {
   return jobs;
 }
 
+/// The program name diagnostics are prefixed with (argv[0], recorded by
+/// parse_common_flags()).
+inline std::string& program_name() {
+  static std::string name = "bench";
+  return name;
+}
+
+/// Prints `<program>: <message>` on stderr and exits 2 (usage error).
+[[noreturn]] inline void usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s: %s\n", program_name().c_str(), message.c_str());
+  std::exit(2);
+}
+
+/// Parses a non-negative decimal count for `flag`; anything else (empty,
+/// signs, trailing junk, overflow) is a usage error rather than 0.
+inline std::uint64_t parse_count(const char* flag, const std::string& value) {
+  errno = 0;
+  const unsigned long long n = std::strtoull(value.c_str(), nullptr, 10);
+  if (value.empty() ||
+      value.find_first_not_of("0123456789") != std::string::npos ||
+      errno == ERANGE) {
+    usage_error(std::string(flag) + " expects a non-negative integer, got '" +
+                value + "'");
+  }
+  return n;
+}
+
 /// Parses the flags every figure binary shares and REMOVES them from argv
 /// (compacting; argc is updated) so binaries with their own flag parsers —
 /// micro_core hands the remainder to google-benchmark — never see them.
@@ -71,39 +102,61 @@ inline int& jobs_flag() {
 ///               byte-identical across --jobs values.
 ///   --fault-seed N   seed for wildcard/`rand:` resolution (default 1;
 ///               also --fault-seed=N).
-/// Unknown arguments are left alone for the binary to interpret.
+/// A missing or non-numeric value exits 2. Unknown arguments are left alone
+/// for the binary to interpret.
 inline void parse_common_flags(int& argc, char** argv) {
-  const auto set_jobs = [](const char* value) {
-    const long n = std::strtol(value, nullptr, 10);
+  program_name() = argv[0];
+  const auto set_jobs = [](const std::string& value) {
+    const std::uint64_t n = parse_count("--jobs", value);
+    if (n > static_cast<std::uint64_t>(INT_MAX)) {
+      usage_error("--jobs " + value + " is out of range");
+    }
     jobs_flag() = n >= 1 ? static_cast<int>(n)
                          : util::ThreadPool::hardware_threads();
-  };
-  const auto set_fault_seed = [](const char* value) {
-    fault_seed_flag() = std::strtoull(value, nullptr, 10);
   };
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);
+    const auto value = [&]() -> std::string {
+      if (i + 1 >= argc) usage_error(arg + " needs a value");
+      return argv[++i];
+    };
     if (arg == "--audit") {
       audit_flag() = true;
-    } else if (arg == "--jobs" && i + 1 < argc) {
-      set_jobs(argv[++i]);
+    } else if (arg == "--jobs") {
+      set_jobs(value());
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      set_jobs(arg.c_str() + 7);
-    } else if (arg == "--faults" && i + 1 < argc) {
-      faults_flag() = argv[++i];
+      set_jobs(arg.substr(7));
+    } else if (arg == "--faults") {
+      faults_flag() = value();
     } else if (arg.rfind("--faults=", 0) == 0) {
       faults_flag() = arg.substr(9);
-    } else if (arg == "--fault-seed" && i + 1 < argc) {
-      set_fault_seed(argv[++i]);
+    } else if (arg == "--fault-seed") {
+      fault_seed_flag() = parse_count("--fault-seed", value());
     } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      set_fault_seed(arg.c_str() + 13);
+      fault_seed_flag() = parse_count("--fault-seed", arg.substr(13));
     } else {
       argv[out++] = argv[i];
     }
   }
   argc = out;
   argv[argc] = nullptr;
+}
+
+/// parse_common_flags() for a figure binary, which takes no other
+/// arguments: anything left over exits 2 instead of being ignored.
+inline void parse_figure_flags(int argc, char** argv) {
+  parse_common_flags(argc, argv);
+  if (argc > 1) usage_error(std::string("unknown argument '") + argv[1] + "'");
+}
+
+/// For binaries that build no ExperimentConfig and so could never apply a
+/// fault plan: --faults exits 2 instead of being silently ignored.
+inline void refuse_faults() {
+  if (!faults_flag().empty()) {
+    usage_error("--faults is not supported (this binary runs no "
+                "ExperimentConfig)");
+  }
 }
 
 /// Progress/ETA line for a sweep, written to stderr only — stdout must stay
@@ -185,12 +238,6 @@ inline void print_header(const char* title, const char* paper_note) {
               dcpim::bench_scale());
 }
 
-inline void print_slowdown_row(const char* name,
-                               const stats::SlowdownSummary& s) {
-  std::printf("  %-12s n=%-6zu mean=%6.2f p50=%6.2f p99=%7.2f max=%8.2f\n",
-              name, s.count, s.mean, s.p50, s.p99, s.max);
-}
-
 /// Bucket label like "<18K", "18K-73K", ">4.7M".
 inline std::string bucket_label(Bytes lo, Bytes hi) {
   auto human = [](Bytes b) {
@@ -239,39 +286,48 @@ inline void maybe_print_faults(const harness::ExperimentResult& result) {
               harness::format_recovery_stats(result.recovery).c_str());
 }
 
-/// --emit-spec: print the binary's embedded campaign spec verbatim and
-/// exit. The golden corpus under tests/campaign_specs/ is generated this
-/// way, so the committed .campaign files and the binaries can never drift
-/// (test_campaign asserts byte equality). Call right after
-/// parse_common_flags(), before any other output.
-inline void handle_emit_spec(int argc, char** argv, const char* spec_text) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--emit-spec") {
-      std::fputs(spec_text, stdout);
-      std::exit(0);
-    }
+/// Reads and parses the campaign spec at `path`, then folds the shared
+/// bench flags (--audit/--faults/--fault-seed) into it exactly like
+/// bench/campaign does. An unreadable file or a malformed spec exits 2
+/// with one line on stderr.
+inline campaign::CampaignSpec read_spec(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) usage_error("cannot read spec '" + path + "'");
+  std::ostringstream text;
+  text << in.rdbuf();
+  try {
+    campaign::CampaignSpec spec =
+        campaign::parse_campaign_spec(text.str(), path);
+    campaign::apply_overrides(spec, audit_flag(), faults_flag(),
+                              fault_seed_flag());
+    return spec;
+  } catch (const campaign::CampaignError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
   }
 }
 
-/// An embedded spec expanded and executed: the binary's single source of
-/// scenario truth. Cells are in expansion order (grid.h), results parallel.
+/// The committed spec `<name>.campaign` under tests/campaign_specs/
+/// (DCPIM_CAMPAIGN_SPEC_DIR, fixed at configure time), read as read_spec()
+/// does. The committed file is a figure's only copy of its scenario.
+inline campaign::CampaignSpec load_spec(const std::string& name) {
+  return read_spec(std::string(DCPIM_CAMPAIGN_SPEC_DIR) + "/" + name +
+                   ".campaign");
+}
+
+/// A committed spec expanded and executed. Cells are in expansion order
+/// (grid.h), results parallel.
 struct SpecRun {
   campaign::CampaignSpec spec;
   std::vector<campaign::Cell> cells;
   std::vector<harness::ExperimentResult> results;
 };
 
-/// Parses the binary's embedded spec, folds the shared bench flags
-/// (--audit/--faults/--fault-seed) into it exactly like bench/campaign
-/// does, expands, and runs the grid on jobs_flag() workers. `file` labels
-/// diagnostics (use the committed spec path so errors point somewhere
-/// checkoutable).
-inline SpecRun run_embedded_spec(const char* spec_text, const char* file) {
+/// load_spec(name), expanded and run on jobs_flag() workers.
+inline SpecRun run_spec(const std::string& name) {
   SpecRun run;
-  run.spec = campaign::parse_campaign_spec(spec_text, file);
-  campaign::apply_overrides(run.spec, audit_flag(), faults_flag(),
-                            fault_seed_flag());
-  run.cells = campaign::expand(run.spec);
+  run.spec = load_spec(name);
+  run.cells = campaign::expand(run.spec);  // parse validated constraints
   std::vector<harness::ExperimentConfig> configs;
   configs.reserve(run.cells.size());
   for (const campaign::Cell& cell : run.cells) configs.push_back(cell.config);
@@ -288,6 +344,63 @@ inline void print_cell_lines(const SpecRun& run) {
         campaign::fnv1a(harness::result_fingerprint(run.results[i]));
     std::printf("%s\n",
                 campaign::format_cell_line(i, run.cells[i].label, fnv).c_str());
+  }
+}
+
+/// Per-size-bucket slowdown table (Figs 3c-e, 7): a bucket-edge header
+/// taken from the first row's result, then a mean and a p99 line for each
+/// cell index in `rows`, each followed by its audit/fault blocks.
+inline void print_bucket_table(const SpecRun& run,
+                               const std::vector<std::size_t>& rows) {
+  const auto print_stat = [](const stats::SlowdownSummary& s, double value) {
+    if (s.count == 0) {
+      std::printf(" %13s", "-");
+    } else {
+      std::printf(" %13.2f", value);
+    }
+  };
+  std::printf("  %-12s %6s", "protocol", "");
+  for (const auto& b : run.results[rows.front()].buckets) {
+    std::printf(" %13s", bucket_label(b.lo, b.hi).c_str());
+  }
+  std::printf("\n");
+  for (std::size_t idx : rows) {
+    const harness::ExperimentResult& res = run.results[idx];
+    std::printf("  %-12s %6s",
+                harness::to_string(run.cells[idx].config.protocol), "mean");
+    for (const auto& b : res.buckets) print_stat(b.slowdown, b.slowdown.mean);
+    std::printf("\n  %-12s %6s", "", "p99");
+    for (const auto& b : res.buckets) print_stat(b.slowdown, b.slowdown.p99);
+    std::printf("\n");
+    maybe_print_audit(res);
+    maybe_print_faults(res);
+    std::fflush(stdout);
+  }
+}
+
+/// Utilisation time series (Figs 4a, 4c): a time-axis header over the
+/// horizon in util_bin steps, then one row per cell with its per-bin
+/// utilisation. `tail(result, mean)` ends each row, `mean` being the mean
+/// utilisation after the first `warmup_bins` bins.
+template <typename Tail>
+void print_util_series(const SpecRun& run, std::size_t warmup_bins,
+                       Tail tail) {
+  const Time horizon = run.cells[0].config.horizon.since_start();
+  const Time bin = run.cells[0].config.util_bin;
+  std::printf("  %-12s", "protocol");
+  for (Time t{}; t < horizon; t += bin) std::printf(" %5.0f", to_us(t));
+  std::printf("  (us)\n");
+  for (std::size_t pi = 0; pi < run.cells.size(); ++pi) {
+    const harness::ExperimentResult& res = run.results[pi];
+    std::printf("  %-12s", harness::to_string(run.cells[pi].config.protocol));
+    for (std::size_t i = 0; bin * i < horizon; ++i) {
+      std::printf(" %5.2f",
+                  i < res.util_series.size() ? res.util_series[i] : 0.0);
+    }
+    tail(res, res.mean_util(warmup_bins, res.util_series.size()));
+    maybe_print_audit(res);
+    maybe_print_faults(res);
+    std::fflush(stdout);
   }
 }
 

@@ -9,18 +9,21 @@
 // in a journal keyed by cell fingerprint (src/campaign/journal.h), so an
 // interrupted campaign resumes without recomputation and an edited spec
 // re-executes only the cells whose canonical text changed. stdout is one
-// deterministic block — header plus `cell NNN <label> result=<fnv>` lines
-// in submission order, byte-identical across --jobs values and across
-// kill/resume splits; progress and summaries go to stderr.
+// deterministic block — header, `cell NNN <label> result=<fnv>` lines in
+// submission order, then a per-cell summary table (flows and slowdowns,
+// copied verbatim from each cell's CSV row) — byte-identical across --jobs
+// values and across kill/resume splits; progress goes to stderr. Audit and
+// fault columns are in the merged CSV (--csv).
 //
 // Exit codes: 0 campaign complete, 1 merged CSV could not be written,
 // 2 spec/usage error, 3 incomplete (some cells skipped by --max-cells —
 // rerun to continue from the journal).
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 
@@ -35,6 +38,49 @@ void usage(const char* argv0) {
       "          [--max-cells N] [--list-cells] [--print-spec]\n"
       "          [--audit] [--faults SPEC] [--fault-seed N]\n",
       argv0);
+}
+
+std::vector<std::string> split_csv(const std::string& row) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  for (std::size_t comma; (comma = row.find(',', start)) != std::string::npos;
+       start = comma + 1) {
+    fields.push_back(row.substr(start, comma - start));
+  }
+  fields.push_back(row.substr(start));
+  return fields;
+}
+
+/// One row per non-skipped cell: its label, then the summary columns taken
+/// verbatim from the cell's CSV row (located by name in csv_header()), so a
+/// cell served from the journal prints the same bytes as a fresh one.
+void print_summary(const campaign::CampaignReport& report) {
+  static const char* const kColumns[] = {
+      "flows_done", "flows_total", "mean_slowdown", "p99_slowdown",
+      "short_mean", "short_p99",   "load_carried_ratio"};
+  const std::vector<std::string> header = split_csv(harness::csv_header());
+  std::size_t label_width = 5;  // "label"
+  for (const campaign::CellOutcome& out : report.outcomes) {
+    if (!out.skipped) label_width = std::max(label_width, out.label.size());
+  }
+  std::printf("\n%-*s", static_cast<int>(label_width), "label");
+  std::vector<std::size_t> at;
+  for (const char* column : kColumns) {
+    std::printf("  %s", column);
+    at.push_back(static_cast<std::size_t>(
+        std::find(header.begin(), header.end(), column) - header.begin()));
+  }
+  std::printf("\n");
+  for (const campaign::CellOutcome& out : report.outcomes) {
+    if (out.skipped) continue;
+    const std::vector<std::string> fields = split_csv(out.csv_row);
+    std::printf("%-*s", static_cast<int>(label_width), out.label.c_str());
+    for (std::size_t c = 0; c < at.size(); ++c) {
+      std::printf("  %*s", static_cast<int>(std::strlen(kColumns[c])),
+                  at[c] < fields.size() ? fields[at[c]].c_str() : "-");
+    }
+    std::printf("\n");
+  }
 }
 
 }  // namespace
@@ -72,9 +118,9 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--csv=", 0) == 0) {
       csv_dir = arg.substr(6);
     } else if (arg == "--max-cells") {
-      max_cells = std::strtoull(value("--max-cells").c_str(), nullptr, 10);
+      max_cells = bench::parse_count("--max-cells", value("--max-cells"));
     } else if (arg.rfind("--max-cells=", 0) == 0) {
-      max_cells = std::strtoull(arg.c_str() + 12, nullptr, 10);
+      max_cells = bench::parse_count("--max-cells", arg.substr(12));
     } else if (arg == "--list-cells") {
       list_cells = true;
     } else if (arg == "--print-spec") {
@@ -91,21 +137,8 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::ifstream in(spec_path);
-  if (!in) {
-    std::fprintf(stderr, "%s: cannot read spec '%s'\n", argv[0],
-                 spec_path.c_str());
-    return 2;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-
+  const campaign::CampaignSpec spec = bench::read_spec(spec_path);
   try {
-    campaign::CampaignSpec spec =
-        campaign::parse_campaign_spec(buffer.str(), spec_path);
-    campaign::apply_overrides(spec, bench::audit_flag(),
-                              bench::faults_flag(), bench::fault_seed_flag());
-
     if (print_spec) {
       std::fputs(campaign::to_spec(spec).c_str(), stdout);
       return 0;
@@ -145,6 +178,7 @@ int main(int argc, char** argv) {
                                              out.result_fnv)
                       .c_str());
     }
+    print_summary(report);
     std::fflush(stdout);
 
     std::fprintf(stderr,

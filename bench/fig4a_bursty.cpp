@@ -7,6 +7,9 @@
 // NDP take 300-600us to converge after bursts; dcPIM converges within tens
 // of microseconds and holds high utilization (zero during the very first
 // matching phase, footnote 3).
+//
+// Scenario: tests/campaign_specs/fig4a.campaign. The horizon stretches with
+// DCPIM_BENCH_SCALE; util_bin and the burst schedule do not.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -15,58 +18,20 @@ using namespace dcpim;
 using namespace dcpim::harness;
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::parse_figure_flags(argc, argv);
   bench::print_header(
       "Figure 4(a): bursty microbenchmark (shuffle + periodic 50:1 incast)",
       "dcPIM holds high utilization through bursts; HPCC collapses via "
       "PFC; HomaAeolus/NDP converge slowly (300-600us)");
 
-  const Time horizon = bench::scaled(ms(1));
+  const bench::SpecRun run = bench::run_spec("fig4a");
   std::printf("  utilization of the 16 receiver downlinks per 50us bin:\n");
-  std::printf("  %-12s", "protocol");
-  const Time bin = us(50);
-  for (Time t{}; t < horizon; t += bin) {
-    std::printf(" %5.0f", to_us(t));
-  }
-  std::printf("  (us)\n");
-
-  const std::vector<Protocol> protocols = bench::figure_protocols();
-  std::vector<ExperimentConfig> configs;
-  for (Protocol p : protocols) {
-    ExperimentConfig cfg;
-    cfg.protocol = p;
-    cfg.pattern = Pattern::Bursty;
-    cfg.dense_flow_size = kMB * 4;  // shuffle partitions (sustained load)
-    cfg.incast_fanin = 50;
-    cfg.incast_size = kKB * 128;
-    cfg.incast_interval = us(100);
-    cfg.incast_bursts = 6;
-    cfg.gen_stop = TimePoint(horizon);
-    cfg.measure_start = TimePoint{};
-    cfg.measure_end = TimePoint(horizon);
-    cfg.horizon = TimePoint(horizon);
-    cfg.util_bin = bin;
-    cfg.audit = bench::audit_flag();
-    configs.push_back(cfg);
-  }
-  const std::vector<ExperimentResult> all =
-      bench::run_sweep(configs, "fig4a");
-
-  for (std::size_t pi = 0; pi < protocols.size(); ++pi) {
-    const ExperimentResult& res = all[pi];
-    std::printf("  %-12s", to_string(protocols[pi]));
-    for (std::size_t i = 0; bin * i < horizon; ++i) {
-      const double u =
-          i < res.util_series.size() ? res.util_series[i] : 0.0;
-      std::printf(" %5.2f", u);
-    }
-    std::printf("   (mean %.2f, pfc=%llu, drops=%llu)\n",
-                res.mean_util(2, res.util_series.size()),
+  bench::print_util_series(run, 2, [](const ExperimentResult& res,
+                                      double mean) {
+    std::printf("   (mean %.2f, pfc=%llu, drops=%llu)\n", mean,
                 static_cast<unsigned long long>(res.pfc_pauses),
                 static_cast<unsigned long long>(res.drops));
-    bench::maybe_print_audit(res);
-    bench::maybe_print_faults(res);
-    std::fflush(stdout);
-  }
+  });
+  bench::print_cell_lines(run);
   return 0;
 }

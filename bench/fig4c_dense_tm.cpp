@@ -7,10 +7,9 @@
 // bound; HPCC collapses under constant PFC; NDP thrashes on retransmits;
 // Homa Aeolus converges but takes >1000us.
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/fig4c.campaign; --emit-spec prints it). The horizons
-// stretch with DCPIM_BENCH_SCALE; util_bin deliberately does not, matching
-// the original hand-built scenario.
+// Scenario: tests/campaign_specs/fig4c.campaign. The horizons stretch with
+// DCPIM_BENCH_SCALE; util_bin deliberately does not, matching the original
+// hand-built scenario.
 #include <cstdio>
 
 #include "bench_common.h"
@@ -18,64 +17,21 @@
 using namespace dcpim;
 using namespace dcpim::harness;
 
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig4c
-binary = fig4c_dense_tm
-
-[timing]
-scaled = true
-gen_stop = 0us
-horizon = 600us
-measure_start = 0us
-measure_end = 600us
-util_bin = 50us
-
-[traffic]
-pattern = dense_tm
-dense_flow_size = 1000000
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-)";
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
+  bench::parse_figure_flags(argc, argv);
   bench::print_header(
       "Figure 4(c): dense 144x143 traffic matrix, utilization over time",
       "dcPIM ~93.5%% steady utilization; theoretical floor 32.9%%; "
       "baselines collapse or converge in >1000us");
 
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig4c.campaign");
-  const Time horizon = run.cells[0].config.horizon.since_start();
-  const Time bin = run.cells[0].config.util_bin;
-
+  const bench::SpecRun run = bench::run_spec("fig4c");
   std::printf("  utilization per 50us bin (all 144 downlinks):\n");
-  std::printf("  %-12s", "protocol");
-  for (Time t{}; t < horizon; t += bin) std::printf(" %5.0f", to_us(t));
-  std::printf("  (us)\n");
-
-  for (std::size_t pi = 0; pi < run.cells.size(); ++pi) {
-    const ExperimentResult& res = run.results[pi];
-    std::printf("  %-12s", to_string(run.cells[pi].config.protocol));
-    for (std::size_t i = 0; bin * i < horizon; ++i) {
-      std::printf(" %5.2f",
-                  i < res.util_series.size() ? res.util_series[i] : 0.0);
-    }
-    std::printf("   (steady mean %.3f, pfc=%llu, trims=%llu)\n",
-                res.mean_util(4, res.util_series.size()),
+  bench::print_util_series(run, 4, [](const ExperimentResult& res,
+                                      double steady_mean) {
+    std::printf("   (steady mean %.3f, pfc=%llu, trims=%llu)\n", steady_mean,
                 static_cast<unsigned long long>(res.pfc_pauses),
                 static_cast<unsigned long long>(res.trims));
-    bench::maybe_print_audit(res);
-    bench::maybe_print_faults(res);
-    std::fflush(stdout);
-  }
+  });
   std::printf(
       "\n  theoretical floor (Theorem 1, N=144, deg=144, alpha=1.2, r=4): "
       "32.9%%\n");

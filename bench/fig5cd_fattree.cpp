@@ -11,7 +11,7 @@ using namespace dcpim;
 using namespace dcpim::harness;
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::parse_figure_flags(argc, argv);
   const int k = bench_scale() >= 2.0 ? 16 : 8;
   bench::print_header(
       "Figure 5(c,d): FatTree, load 0.6",

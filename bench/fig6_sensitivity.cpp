@@ -37,7 +37,7 @@ void print_row(const std::string& label, const ExperimentResult& res) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::parse_figure_flags(argc, argv);
   bench::print_header(
       "Figure 6: dcPIM sensitivity to r, k, beta (load 0.54)",
       "r=1->2 biggest gain (18-24% load); k=2-4 sweet spot; beta "

@@ -6,87 +6,27 @@
 // and 34-76x better p99 than DCTCP/TCP, while long-flow FCT is
 // 1.71-2.61x lower.
 //
-// Scenario lives in the embedded campaign spec (committed as
-// tests/campaign_specs/fig7.campaign; --emit-spec prints it). 10G links
-// are 10x slower, hence the stretched horizons.
+// Scenario: tests/campaign_specs/fig7.campaign. 10G links are 10x slower,
+// hence the stretched horizons.
 #include <cstdio>
+#include <numeric>
+#include <vector>
 
 #include "bench_common.h"
 
 using namespace dcpim;
-using namespace dcpim::harness;
-
-namespace {
-
-constexpr char kSpec[] =
-    R"([campaign]
-name = fig7
-binary = fig7_testbed
-
-[topology]
-topo = testbed
-
-[timing]
-scaled = true
-gen_stop = 8ms
-horizon = 30ms
-measure_start = 2ms
-measure_end = 8ms
-
-[traffic]
-workload = imc10
-load = 0.5
-
-[sweep]
-protocol = dcpim, dctcp, tcp
-)";
-
-}  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
+  bench::parse_figure_flags(argc, argv);
   bench::print_header(
       "Figure 7: 32-server testbed (10G), dcPIM vs DCTCP vs TCP, load 0.5",
       "dcPIM short flows 21-43x better mean / 34-76x better p99; long "
       "flows 1.71-2.61x faster");
 
-  const bench::SpecRun run =
-      bench::run_embedded_spec(kSpec, "tests/campaign_specs/fig7.campaign");
-
-  bool header_done = false;
-  for (std::size_t pi = 0; pi < run.cells.size(); ++pi) {
-    const Protocol p = run.cells[pi].config.protocol;
-    const ExperimentResult& res = run.results[pi];
-    if (!header_done) {
-      std::printf("  %-12s %6s", "protocol", "");
-      for (const auto& b : res.buckets) {
-        std::printf(" %13s", bench::bucket_label(b.lo, b.hi).c_str());
-      }
-      std::printf("\n");
-      header_done = true;
-    }
-    std::printf("  %-12s %6s", to_string(p), "mean");
-    for (const auto& b : res.buckets) {
-      if (b.slowdown.count == 0) {
-        std::printf(" %13s", "-");
-      } else {
-        std::printf(" %13.2f", b.slowdown.mean);
-      }
-    }
-    std::printf("\n  %-12s %6s", "", "p99");
-    for (const auto& b : res.buckets) {
-      if (b.slowdown.count == 0) {
-        std::printf(" %13s", "-");
-      } else {
-        std::printf(" %13.2f", b.slowdown.p99);
-      }
-    }
-    std::printf("\n");
-    bench::maybe_print_audit(res);
-    bench::maybe_print_faults(res);
-    std::fflush(stdout);
-  }
+  const bench::SpecRun run = bench::run_spec("fig7");
+  std::vector<std::size_t> rows(run.cells.size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  bench::print_bucket_table(run, rows);
   bench::print_cell_lines(run);
   return 0;
 }

@@ -7,10 +7,9 @@
 // only counts if it provably timed the same simulation, so an optimization
 // that perturbs results can never masquerade as a speedup.
 //
-// The scenario set lives in the embedded campaign spec (committed as
-// tests/campaign_specs/perf_basket.campaign; --emit-spec prints it); the
-// grid is expanded directly here — not journaled — because a timing run
-// must never be satisfied from a cache.
+// The scenario set is tests/campaign_specs/perf_basket.campaign; the grid
+// is expanded directly here — not journaled — because a timing run must
+// never be satisfied from a cache.
 //
 // Output is one JSON object per line on stdout (tools/record_bench.py
 // parses these into BENCH_6.json); progress goes to stderr. Wall-clock
@@ -28,26 +27,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-constexpr char kSpec[] =
-    R"([campaign]
-name = perf_basket
-binary = perf_basket
-
-[timing]
-scaled = true
-gen_stop = 1.2ms
-horizon = 3ms
-measure_start = 300us
-measure_end = 1.2ms
-
-[traffic]
-workload = imc10
-load = 0.6
-
-[sweep]
-protocol = dcpim, homa_aeolus, ndp, hpcc
-)";
-
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -56,13 +35,8 @@ double seconds_since(Clock::time_point t0) {
 
 int main(int argc, char** argv) {
   using namespace dcpim;
-  bench::parse_common_flags(argc, argv);
-  bench::handle_emit_spec(argc, argv, kSpec);
-
-  campaign::CampaignSpec spec = campaign::parse_campaign_spec(
-      kSpec, "tests/campaign_specs/perf_basket.campaign");
-  campaign::apply_overrides(spec, bench::audit_flag(), bench::faults_flag(),
-                            bench::fault_seed_flag());
+  bench::parse_figure_flags(argc, argv);
+  const campaign::CampaignSpec spec = bench::load_spec("perf_basket");
 
   std::uint64_t total_events = 0;
   double total_wall = 0.0;

@@ -80,7 +80,8 @@ struct Holder {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::parse_common_flags(argc, argv);
+  bench::parse_figure_flags(argc, argv);
+  bench::refuse_faults();  // hand-wired networks: no FaultPlan is installed
   bench::print_header(
       "Related work (§5): dcPIM vs Fastpass-style centralized vs pHost",
       "Fastpass short-flow latency >= 2x optimal (arbiter round trip); "

@@ -17,8 +17,10 @@ using namespace dcpim::matching;
 
 int main(int argc, char** argv) {
   // Accepts the shared flags for sweep-driver uniformity; the matching
-  // microbenchmark itself is a single RNG stream, so --jobs has no effect.
-  bench::parse_common_flags(argc, argv);
+  // microbenchmark itself is a single RNG stream, so --jobs has no effect,
+  // and it runs no network, so --faults is refused.
+  bench::parse_figure_flags(argc, argv);
+  bench::refuse_faults();
   bench::print_header(
       "Theorem 1: constant-round near-optimal matching",
       "e.g. n=10^6, avg degree 5, 80% matched by PIM => r=4 keeps >78% "

@@ -3,19 +3,16 @@
 // A campaign spec is a small TOML-like text format describing one
 // experiment grid: a base scenario (topology, timing, traffic matrix,
 // protocol parameters, fault plan) plus Cartesian sweep axes and axis
-// constraints. bench/campaign expands a spec through harness::SweepRunner;
-// the per-figure bench binaries embed their scenario as a spec string
-// (printed verbatim by --emit-spec) and build their configs by expanding
-// it, so a scenario exists in exactly one place and reviewers can add or
-// edit one without touching C++.
+// constraints. bench/campaign expands a spec through harness::SweepRunner.
+// The committed file under tests/campaign_specs/ is the only copy of a
+// scenario: the figure binaries that add a table bench/campaign cannot
+// print load their spec from there by name (bench_common.h run_spec), so
+// reviewers can add or edit a scenario without touching C++.
 //
 // Grammar (line-oriented; `#` starts a full-line comment; blank lines
 // separate nothing — they are purely cosmetic):
 //
-//   [campaign]            name (required), binary (optional: the bench
-//                         binary stem this spec retires — the lint rule
-//                         `inline-scenario` then bans hand-built
-//                         ExperimentConfigs in that binary)
+//   [campaign]            name (required)
 //   [topology]            topo, racks, hosts_per_rack, spines, fat_tree_k
 //   [timing]              scaled, gen_stop, horizon, measure_start,
 //                         measure_end, util_bin   (ns/us/ms/s literals;
@@ -76,8 +73,7 @@ struct ConstraintDef {
 };
 
 struct CampaignSpec {
-  std::string name;    ///< [campaign] name — CSV experiment label
-  std::string binary;  ///< bench binary stem this spec retires ("" = none)
+  std::string name;  ///< [campaign] name — CSV experiment label
   /// [timing] scaled: stretch gen_stop/horizon/measure_start/measure_end
   /// by DCPIM_BENCH_SCALE when cells are expanded (util_bin stays fixed,
   /// matching the hand-built bench scenarios this format replaces).

@@ -5,12 +5,14 @@ Pins the invalidation taxonomy: a base-key edit invalidates every cell, an
 axis-value edit shows up as added+removed labels, an untouched spec is all
 unchanged, and --journal annotates which cells the journal actually holds.
 Also pins that `bench/campaign --csv` into a missing directory fails loudly.
-Requires the built `bench/campaign` binary; skips (with a notice) when the
-build directory does not exist under the default name.
+Requires the built `bench/campaign` binary in $DCPIM_BENCH_DIR, which ctest
+sets to the build's bench directory; run by hand without it, the tests look
+in build/bench and skip (with a notice) when nothing is built there.
 """
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import tempfile
@@ -19,8 +21,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TOOL = REPO / "tools" / "campaign_diff.py"
-BUILD = REPO / "build"
-CAMPAIGN = BUILD / "bench" / "campaign"
+BENCH = Path(os.environ.get("DCPIM_BENCH_DIR", REPO / "build" / "bench"))
+BUILD = BENCH.parent
+CAMPAIGN = BENCH / "campaign"
 SMOKE = REPO / "tests" / "campaign_specs" / "smoke.campaign"
 
 
@@ -30,7 +33,7 @@ def run_diff(*args: str) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-@unittest.skipUnless(CAMPAIGN.exists(),
+@unittest.skipUnless(CAMPAIGN.exists() or "DCPIM_BENCH_DIR" in os.environ,
                      f"{CAMPAIGN} not built — build the repo first")
 class CampaignDiff(unittest.TestCase):
     def setUp(self):

@@ -41,8 +41,8 @@ std::string read_file(const std::string& path) {
 // The committed spec corpus (kept in sync with tests/test_campaign.cpp).
 const std::vector<std::string>& corpus() {
   static const std::vector<std::string> names = {
-      "fig3a",        "fig3b",       "fig4b", "fig4c",      "fig7",
-      "incast_sweep", "perf_basket", "smoke", "constrained"};
+      "fig3a", "fig3b",        "fig4a",       "fig4b", "fig4c",      "fig5ab",
+      "fig7",  "incast_sweep", "perf_basket", "smoke", "constrained"};
   return names;
 }
 

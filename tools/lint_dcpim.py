@@ -53,14 +53,13 @@ see .github/workflows/ci.yml):
                     class (tools/dcpim_sa.py proves the same thing through
                     domains and event reachability).
 
-  inline-scenario   once a campaign spec under tests/campaign_specs/ names
-                    a bench binary (its `binary =` key), that binary must
-                    build its configs by expanding the spec
-                    (bench_common.h run_embedded_spec) — hand-built
-                    `ExperimentConfig` scenarios in it are flagged unless
-                    justified with `// campaign-ok:`. Keeps the committed
-                    spec the single source of scenario truth instead of a
-                    copy that drifts from the C++.
+  inline-scenario   a bench binary that loads a committed campaign spec
+                    by name (bench_common.h `run_spec("<name>")` or
+                    `load_spec("<name>")`) takes its scenario from that
+                    file — hand-built `ExperimentConfig`s in it are flagged
+                    unless justified with `// campaign-ok:`. Keeps the
+                    committed spec the single source of scenario truth
+                    instead of a copy that drifts from the C++.
 
 The historical unit-raw rule (every `.raw()` escape needs a justification)
 moved to tools/dcpim_sa.py, which checks it semantically — including via
@@ -68,7 +67,7 @@ auto and templates — under the `sa-ok(unit-raw)` suppression grammar.
 
 Scope: src/ only (tests/bench/examples may use raw() freely — the typed API
 is the thing under test there), except inline-scenario, which by nature
-lints exactly the bench binaries the spec corpus has retired. Run from
+lints exactly the bench binaries that load a committed spec. Run from
 anywhere:
 
     python3 tools/lint_dcpim.py            # lint the repo it lives in
@@ -162,12 +161,14 @@ PACKET_FACTORY = re.compile(
     r"|\bmake_(?:unique|shared)\s*<\s*(?:[\w:]+::)?\w*Packet\s*[>,]")
 SA_OK_LIFETIME_TAG = "sa-ok(lifetime):"
 
-# A hand-built scenario in a spec-retired bench binary. Matching the type
-# name (rather than construction syntax) catches every variant: direct
-# construction, default_setup() copies being mutated, helper functions.
+# A hand-built scenario in a bench binary that loads a committed spec.
+# Matching the type name (rather than construction syntax) catches every
+# variant: direct construction, default_setup() copies being mutated,
+# helper functions.
 INLINE_SCENARIO = re.compile(r"\bExperimentConfig\b")
 CAMPAIGN_OK_TAG = "campaign-ok:"
-SPEC_BINARY_KEY = re.compile(r"^binary\s*=\s*(\w+)$")
+SPEC_CALL = re.compile(r'\b(?:run|load)_spec\(\s*"([\w.-]+)"\s*\)')
+SPEC_CALL_CODE = re.compile(r'\b(?:run|load)_spec\(\s*""\s*\)')
 
 
 def strip_comments_and_strings(line: str) -> str:
@@ -266,38 +267,36 @@ def lint_file(path: Path, rel: str) -> list[str]:
     return violations
 
 
-def spec_retired_binaries(root: Path) -> dict[str, str]:
-    """bench binary stem -> spec file name, for every campaign spec whose
-    [campaign] section names a `binary =`. Missing spec dir (another
-    checkout layout) means no binaries are retired — the rule is inert."""
-    spec_dir = root / "tests" / "campaign_specs"
-    if not spec_dir.is_dir():
-        return {}
-    retired: dict[str, str] = {}
-    for spec in sorted(spec_dir.glob("*.campaign")):
-        for line in spec.read_text(encoding="utf-8").splitlines():
-            match = SPEC_BINARY_KEY.match(line.strip())
+def spec_name_loaded(lines: list[str]) -> str | None:
+    """The spec a bench binary loads through run_spec("<name>") /
+    load_spec("<name>") in code (not in a comment), or None."""
+    for line in lines:
+        if SPEC_CALL_CODE.search(strip_comments_and_strings(line)):
+            match = SPEC_CALL.search(line)
             if match:
-                retired[match.group(1)] = spec.name
-    return retired
+                return match.group(1)
+    return None
 
 
 def lint_inline_scenarios(root: Path) -> list[str]:
     violations: list[str] = []
-    for stem, spec_name in spec_retired_binaries(root).items():
-        path = root / "bench" / f"{stem}.cpp"
-        if not path.is_file():
-            continue
+    bench = root / "bench"
+    if not bench.is_dir():
+        return violations
+    for path in sorted(bench.glob("*.cpp")):
         lines = path.read_text(encoding="utf-8").splitlines()
+        spec_name = spec_name_loaded(lines)
+        if spec_name is None:
+            continue
         covered = tag_covered_lines(lines, CAMPAIGN_OK_TAG)
         for idx, line in enumerate(lines):
             code = strip_comments_and_strings(line)
             if INLINE_SCENARIO.search(code) and idx not in covered:
                 violations.append(
-                    f"bench/{stem}.cpp:{idx + 1}: [inline-scenario] "
-                    f"{spec_name} owns this binary's scenario; expand the "
-                    f"spec (bench_common.h run_embedded_spec) instead of "
-                    f"hand-building ExperimentConfigs, or justify with "
+                    f"bench/{path.name}:{idx + 1}: [inline-scenario] "
+                    f"{spec_name}.campaign owns this binary's scenario; "
+                    f"expand the spec instead of hand-building "
+                    f"ExperimentConfigs, or justify with "
                     f"`// {CAMPAIGN_OK_TAG}`")
     return violations
 
