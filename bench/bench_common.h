@@ -51,13 +51,11 @@ inline std::uint64_t& fault_seed_flag() {
 }
 
 /// Worker threads for experiment sweeps (--jobs N / $DCPIM_JOBS; default 1
-/// == serial). Results are bit-identical at every value — see
-/// harness/sweep.h for the isolation contract that guarantees it.
+/// == serial; 0 == all hardware threads). Results are bit-identical at
+/// every value — see harness/sweep.h for the isolation contract that
+/// guarantees it.
 inline int& jobs_flag() {
-  static int jobs = [] {
-    const long env = env_long("DCPIM_JOBS", 1);
-    return env >= 1 ? static_cast<int>(env) : 1;
-  }();
+  static int jobs = 1;
   return jobs;
 }
 
@@ -102,18 +100,25 @@ inline std::uint64_t parse_count(const char* flag, const std::string& value) {
 ///               byte-identical across --jobs values.
 ///   --fault-seed N   seed for wildcard/`rand:` resolution (default 1;
 ///               also --fault-seed=N).
-/// A missing or non-numeric value exits 2. Unknown arguments are left alone
-/// for the binary to interpret.
+/// A missing or non-numeric value exits 2, and so does an unparsable
+/// $DCPIM_JOBS (read like --jobs, which overrides it) or
+/// $DCPIM_BENCH_SCALE. Unknown arguments are left alone for the binary to
+/// interpret.
 inline void parse_common_flags(int& argc, char** argv) {
   program_name() = argv[0];
-  const auto set_jobs = [](const std::string& value) {
-    const std::uint64_t n = parse_count("--jobs", value);
+  const auto set_jobs = [](const char* flag, const std::string& value) {
+    const std::uint64_t n = parse_count(flag, value);
     if (n > static_cast<std::uint64_t>(INT_MAX)) {
-      usage_error("--jobs " + value + " is out of range");
+      usage_error(std::string(flag) + " " + value + " is out of range");
     }
     jobs_flag() = n >= 1 ? static_cast<int>(n)
                          : util::ThreadPool::hardware_threads();
   };
+  if (const char* env = std::getenv("DCPIM_JOBS")) set_jobs("DCPIM_JOBS", env);
+  if (!env_double("DCPIM_BENCH_SCALE", 1.0)) {
+    usage_error(std::string("DCPIM_BENCH_SCALE expects a number, got '") +
+                std::getenv("DCPIM_BENCH_SCALE") + "'");
+  }
   int out = 1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg(argv[i]);
@@ -124,9 +129,9 @@ inline void parse_common_flags(int& argc, char** argv) {
     if (arg == "--audit") {
       audit_flag() = true;
     } else if (arg == "--jobs") {
-      set_jobs(value());
+      set_jobs("--jobs", value());
     } else if (arg.rfind("--jobs=", 0) == 0) {
-      set_jobs(arg.substr(7));
+      set_jobs("--jobs", arg.substr(7));
     } else if (arg == "--faults") {
       faults_flag() = value();
     } else if (arg.rfind("--faults=", 0) == 0) {
@@ -255,7 +260,8 @@ inline std::string bucket_label(Bytes lo, Bytes hi) {
   return human(lo) + "-" + human(hi);
 }
 
-/// Appends a result row to $DCPIM_BENCH_CSV/<experiment>.csv when set.
+/// Appends a result row to $DCPIM_BENCH_CSV/<experiment>.csv when set; a
+/// file that cannot be written exits 1 with one line naming it.
 inline void maybe_csv(const std::string& experiment,
                       harness::Protocol protocol,
                       const std::string& workload, double load,
@@ -268,7 +274,11 @@ inline void maybe_csv(const std::string& experiment,
   row.workload = workload;
   row.load = load;
   row.result = result;
-  harness::append_csv(dir, {row});
+  if (!harness::append_csv(dir, {row})) {
+    std::fprintf(stderr, "%s: cannot write CSV %s/%s.csv\n",
+                 program_name().c_str(), dir.c_str(), experiment.c_str());
+    std::exit(1);
+  }
 }
 
 /// Prints the audit verdict under a result row when --audit is active.

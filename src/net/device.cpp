@@ -1,9 +1,10 @@
 #include "net/device.h"
 
-#include "util/check.h"
+#include <algorithm>
 #include <utility>
 
 #include "net/network.h"
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace dcpim::net {
@@ -36,6 +37,18 @@ const char* to_string(DropReason reason) {
     case DropReason::kGrayLoss: return "gray-loss";
   }
   return "?";
+}
+
+void PacketRing::grow() {
+  // Full, so rotating puts the oldest packet at slot 0 and the rest in
+  // order behind it; the new slots then follow the newest.
+  std::rotate(slots_.begin(),
+              slots_.begin() + static_cast<std::ptrdiff_t>(head_),
+              slots_.end());
+  head_ = 0;
+  // sa-ok(hot-alloc): doubling growth — a queue allocates about log2 of its
+  // peak depth times over a whole run, and never once that depth is reached.
+  slots_.resize(slots_.empty() ? 8 : 2 * slots_.size());
 }
 
 Port::Port(Device& owner, int index, PortConfig cfg)
@@ -139,9 +152,7 @@ void Port::enqueue(PacketPtr p) {
 
   qbytes_[prio] += p->size;
   total_qbytes_ += p->size;
-  // sa-ok(hot-alloc): deque push of one pointer — block allocation is
-  // amortized and the freed blocks are reused at steady state.
-  queues_[prio].push_back(std::move(p));
+  queues_[prio].push(std::move(p));
   try_transmit();
 }
 
@@ -179,8 +190,7 @@ void Port::try_transmit() {
   const int prio = next_priority_to_send();
   if (prio < 0) return;
 
-  PacketPtr p = std::move(queues_[prio].front());
-  queues_[prio].pop_front();
+  PacketPtr p = queues_[prio].pop();
   qbytes_[prio] -= p->size;
   total_qbytes_ -= p->size;
   // sa-ok(hot-cost): the departure hook is the Device contract seam (host

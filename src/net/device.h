@@ -1,15 +1,16 @@
 // Device and Port: the queueing/transmission substrate.
 //
 // A Device (host or switch) owns egress Ports. Each Port models one
-// direction of a link: strict-priority FIFOs with a shared byte budget,
-// store-and-forward serialization at the link rate, propagation delay, and
-// the optional per-port features from PortConfig (ECN, trimming, Aeolus
-// selective dropping, PFC pause, random loss injection for failure tests).
+// direction of a link: strict-priority FIFOs (PacketRing) with a shared
+// byte budget, store-and-forward serialization at the link rate,
+// propagation delay, and the optional per-port features from PortConfig
+// (ECN, trimming, Aeolus selective dropping, PFC pause, random loss
+// injection for failure tests).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -47,6 +48,37 @@ constexpr bool is_injected_drop(DropReason reason) {
 }
 
 const char* to_string(DropReason reason);
+
+/// One priority's FIFO: a ring of packet slots that holds no buffer until
+/// its first push, doubles when full and never shrinks. Most priorities of
+/// most ports in a large fabric are never used, and those cost no heap.
+class PacketRing {
+ public:
+  bool empty() const { return size_ == 0; }
+  std::size_t size() const { return size_; }
+  /// Slots allocated: 0 until the first push, then a power of two.
+  std::size_t capacity() const { return slots_.size(); }
+
+  void push(PacketPtr p) {
+    if (size_ == slots_.size()) grow();
+    slots_[(head_ + size_) & (slots_.size() - 1)] = std::move(p);
+    ++size_;
+  }
+  /// Removes and returns the oldest packet; the ring must not be empty.
+  PacketPtr pop() {
+    PacketPtr p = std::move(slots_[head_]);
+    head_ = (head_ + 1) & (slots_.size() - 1);
+    --size_;
+    return p;
+  }
+
+ private:
+  void grow();
+
+  std::vector<PacketPtr> slots_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
+};
 
 class Port {
  public:
@@ -91,6 +123,10 @@ class Port {
 
   Bytes queued_bytes() const { return total_qbytes_; }
   Bytes queued_bytes(int priority) const { return qbytes_[priority]; }
+  /// Packet slots `priority`'s queue has allocated (0 until first use).
+  std::size_t queue_capacity(int priority) const {
+    return queues_[static_cast<std::size_t>(priority)].capacity();
+  }
   bool busy() const { return busy_; }
 
   /// Serialization time of `bytes` on this link.
@@ -129,7 +165,7 @@ class Port {
   Device* peer_ = nullptr;
   Port* reverse_ = nullptr;
 
-  std::array<std::deque<PacketPtr>, kNumPriorities> queues_;
+  std::array<PacketRing, kNumPriorities> queues_;
   std::array<Bytes, kNumPriorities> qbytes_{};
   Bytes total_qbytes_{};
   bool busy_ = false;

@@ -45,7 +45,6 @@ Flow* Network::create_flow(int src, int dst, Bytes size, TimePoint start) {
                                           .size = size,
                                           .start_time = start});
   Flow* raw = flow.get();
-  flow_index_.emplace(raw->id, raw);
   flows_.push_back(std::move(flow));
   // pdes-local: arrival injection partitions with the source host's shard —
   // the Flow and its callback target exactly one host (DESIGN.md §15).
@@ -54,11 +53,6 @@ Flow* Network::create_flow(int src, int dst, Bytes size, TimePoint start) {
     hosts_.at(static_cast<std::size_t>(raw->src))->on_flow_arrival(*raw);
   });
   return raw;
-}
-
-Flow* Network::flow(std::uint64_t id) const {
-  auto it = flow_index_.find(id);
-  return it == flow_index_.end() ? nullptr : it->second;
 }
 
 void Network::flow_completed(Flow& f) {

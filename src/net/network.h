@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -62,7 +61,11 @@ class Network {
   // --- flows ----------------------------------------------------------------
   /// Creates a flow and schedules its arrival at the sender at `start`.
   Flow* create_flow(int src, int dst, Bytes size, TimePoint start);
-  Flow* flow(std::uint64_t id) const;
+  /// The flow with this id, or nullptr. Ids are dense from 1 in creation
+  /// order and flows are never erased, so this indexes flows_ directly.
+  Flow* flow(std::uint64_t id) const {
+    return id >= 1 && id <= flows_.size() ? flows_[id - 1].get() : nullptr;
+  }
   std::size_t num_flows() const { return flows_.size(); }
   const std::vector<std::unique_ptr<Flow>>& flows() const { return flows_; }
 
@@ -160,7 +163,6 @@ class Network {
   std::vector<std::unique_ptr<Device>> devices_;
   std::vector<Host*> hosts_;
   std::vector<std::unique_ptr<Flow>> flows_;
-  std::unordered_map<std::uint64_t, Flow*> flow_index_;
   std::uint64_t next_flow_id_ = 1;
 };
 

@@ -1,5 +1,7 @@
 #include "net/switch.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 #include "util/logging.h"
@@ -58,11 +60,37 @@ std::size_t Switch::weighted_pick(const std::vector<std::uint16_t>& cands) {
   return cands.size() - 1;  // fp rounding spill-over
 }
 
+void Switch::set_route(int dst_host, const std::vector<std::uint16_t>& cands) {
+  DCPIM_CHECK(dst_host >= 0, "negative destination host");
+  const auto dst = static_cast<std::size_t>(dst_host);
+  if (route_.size() <= dst) route_.resize(dst + 1, kNoRoute);
+  if (cands.empty()) {
+    route_[dst] = kNoRoute;
+    return;
+  }
+  // Linear interning: a Clos switch holds at most one group per port.
+  auto group = std::find(groups_.begin(), groups_.end(), cands);
+  if (group == groups_.end()) {
+    DCPIM_CHECK(groups_.size() < kNoRoute, "too many next-hop groups");
+    group = groups_.insert(groups_.end(), cands);
+  }
+  route_[dst] = static_cast<std::uint16_t>(group - groups_.begin());
+}
+
+std::span<const std::uint16_t> Switch::candidates(int dst_host) const {
+  const auto dst = static_cast<std::size_t>(dst_host);
+  if (dst_host < 0 || dst >= route_.size() || route_[dst] == kNoRoute) {
+    return {};
+  }
+  return groups_[route_[dst]];
+}
+
 Port* Switch::select_egress(const Packet& p) {
-  DCPIM_CHECK(p.dst >= 0 && static_cast<std::size_t>(p.dst) < next_hops_.size(),
+  DCPIM_CHECK(p.dst >= 0 && static_cast<std::size_t>(p.dst) < route_.size(),
               "packet destination outside routing table");
-  const auto& cands = next_hops_[static_cast<std::size_t>(p.dst)];
-  DCPIM_CHECK(!cands.empty(), "no route to destination");
+  const std::uint16_t group = route_[static_cast<std::size_t>(p.dst)];
+  DCPIM_CHECK(group != kNoRoute, "no route to destination");
+  const auto& cands = groups_[group];
   std::size_t pick = 0;
   if (cands.size() > 1) {
     switch (network().config().lb_policy) {

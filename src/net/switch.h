@@ -1,7 +1,9 @@
 // Output-queued switch with shortest-path ECMP routing and optional PFC.
 //
-// Routing tables are next-hop candidate lists per destination host,
-// computed by the topology builder (BFS over the device graph). Among
+// Routing tables map each destination host to a next-hop group: a list of
+// candidate egress ports, computed by the topology builder (BFS over the
+// device graph). Equal lists are interned, so a leaf holds one group per
+// down-port plus its uplink group however many hosts sit behind it. Among
 // multiple candidates, NetConfig::lb_policy picks the egress: per-packet
 // spray (workload RNG, the paper default), a stable per-flow hash, flowlet
 // re-hashing after an idle gap, or a rate-weighted draw that follows
@@ -11,6 +13,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -35,13 +38,14 @@ class Switch : public Device {
     return network().config().switch_latency;
   }
 
-  /// next_hops[dst_host] = candidate local egress port indices.
-  void set_next_hops(std::vector<std::vector<std::uint16_t>> table) {
-    next_hops_ = std::move(table);
-  }
-  const std::vector<std::uint16_t>& candidates(int dst_host) const {
-    return next_hops_[static_cast<std::size_t>(dst_host)];
-  }
+  /// Routes `dst_host` over `cands`, local egress port indices in the
+  /// order the LB draws index (the builder's BFS port-index order). An
+  /// empty list leaves the destination unroutable.
+  void set_route(int dst_host, const std::vector<std::uint16_t>& cands);
+  /// Candidates for `dst_host`; empty when it has no route.
+  std::span<const std::uint16_t> candidates(int dst_host) const;
+  /// Distinct next-hop groups this switch holds.
+  std::size_t num_groups() const { return groups_.size(); }
 
   Bytes ingress_buffered(int port_index) const {
     return port_index < static_cast<int>(ingress_bytes_.size())
@@ -67,12 +71,17 @@ class Switch : public Device {
     TimePoint last{};
   };
 
+  /// route_ entry of a destination without candidates.
+  static constexpr std::uint16_t kNoRoute = 0xFFFF;
+
   Port* select_egress(const Packet& p);
   std::size_t weighted_pick(const std::vector<std::uint16_t>& cands);
   void pfc_account_arrival(Packet& p, Port* in);
   void pfc_update(int ingress_index);
 
-  std::vector<std::vector<std::uint16_t>> next_hops_;
+  /// route_[dst_host] indexes groups_ (or is kNoRoute).
+  std::vector<std::uint16_t> route_;
+  std::vector<std::vector<std::uint16_t>> groups_;
   std::vector<Bytes> ingress_bytes_;
   std::vector<bool> ingress_paused_;
   /// LB RNG stream, disjoint from the workload RNG and the per-port fault

@@ -1,26 +1,27 @@
 #include "net/topology.h"
 
 #include <algorithm>
-#include "util/check.h"
-#include <deque>
-#include <limits>
 #include <string>
 
+#include "util/check.h"
 #include "util/logging.h"
 
 namespace dcpim::net {
 
 namespace {
 
-/// BFS distances (in device-graph hops) from `start` over connected ports.
-std::vector<int> bfs_distances(const Network& net, const Device* start) {
-  std::vector<int> dist(net.devices().size(), -1);
-  std::deque<const Device*> frontier;
+/// BFS distances (in device-graph hops) from `start` over connected ports,
+/// written into `dist` (one entry per device, -1 when unreachable).
+/// `frontier` is scratch, reused across calls.
+void bfs_distances(const Network& net, const Device* start,
+                   std::vector<int>& dist,
+                   std::vector<const Device*>& frontier) {
+  dist.assign(net.devices().size(), -1);
+  frontier.clear();
   dist[static_cast<std::size_t>(start->device_id())] = 0;
   frontier.push_back(start);
-  while (!frontier.empty()) {
-    const Device* dev = frontier.front();
-    frontier.pop_front();
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const Device* dev = frontier[next];
     const int d = dist[static_cast<std::size_t>(dev->device_id())];
     for (const auto& port : dev->ports) {
       const Device* peer = port->peer();
@@ -32,7 +33,6 @@ std::vector<int> bfs_distances(const Network& net, const Device* start) {
       }
     }
   }
-  return dist;
 }
 
 }  // namespace
@@ -40,68 +40,65 @@ std::vector<int> bfs_distances(const Network& net, const Device* start) {
 void Topology::finalize(Network& net) {
   net_ = &net;
   num_hosts_ = net.num_hosts();
-  const auto& devices = net.devices();
+  const auto hosts = static_cast<std::size_t>(num_hosts_);
 
-  // dist_to_host[h][dev] = hops from dev to host h.
-  std::vector<std::vector<int>> dist_to_host(
-      static_cast<std::size_t>(num_hosts_));
-  for (int h = 0; h < num_hosts_; ++h) {
-    dist_to_host[static_cast<std::size_t>(h)] =
-        bfs_distances(net, net.host(h));
+  std::vector<Switch*> switches;
+  for (const auto& dev : net.devices()) {
+    if (dev->kind() == Device::Kind::Switch) {
+      switches.push_back(static_cast<Switch*>(dev.get()));
+    }
   }
 
-  // Next-hop candidate tables for every switch.
-  for (const auto& dev : devices) {
-    if (dev->kind() != Device::Kind::Switch) continue;
-    auto* sw = static_cast<Switch*>(dev.get());
-    std::vector<std::vector<std::uint16_t>> table(
-        static_cast<std::size_t>(num_hosts_));
-    for (int h = 0; h < num_hosts_; ++h) {
-      const auto& dist = dist_to_host[static_cast<std::size_t>(h)];
-      const int my_dist = dist[static_cast<std::size_t>(sw->device_id())];
-      auto& cands = table[static_cast<std::size_t>(h)];
+  // One destination at a time: a BFS from host d gives every device's hop
+  // count to d, which fixes each switch's candidates for d (the ports one
+  // hop closer, in port-index order) and column d of the pair classes.
+  pair_class_.assign(hosts * hosts, 0);
+  // Each hop class's canonical path is walked for its lexicographically
+  // first (src, dst) pair: the smallest src, then the smallest dst.
+  std::vector<int> class_src(256, num_hosts_);
+  std::vector<int> dist;
+  std::vector<const Device*> frontier;
+  std::vector<std::uint16_t> cands;
+  for (int d = 0; d < num_hosts_; ++d) {
+    bfs_distances(net, net.host(d), dist, frontier);
+    const auto hops_at = [&dist](const Device* dev) {
+      return dist[static_cast<std::size_t>(dev->device_id())];
+    };
+
+    for (Switch* sw : switches) {
+      const int my_dist = hops_at(sw);
+      cands.clear();
       for (const auto& port : sw->ports) {
         const Device* peer = port->peer();
-        if (peer == nullptr) continue;
-        if (dist[static_cast<std::size_t>(peer->device_id())] == my_dist - 1) {
+        if (peer != nullptr && hops_at(peer) == my_dist - 1) {
           cands.push_back(static_cast<std::uint16_t>(port->index()));
         }
       }
       DCPIM_CHECK(my_dist < 0 || !cands.empty(), "unroutable destination");
+      sw->set_route(d, cands);
     }
-    sw->set_next_hops(std::move(table));
-  }
 
-  // Per-pair hop-count classes plus a canonical path profile per class.
-  pair_class_.assign(
-      static_cast<std::size_t>(num_hosts_) * static_cast<std::size_t>(num_hosts_),
-      0);
-  const auto& cfg = net.config();
-  for (int s = 0; s < num_hosts_; ++s) {
-    for (int d = 0; d < num_hosts_; ++d) {
+    for (int s = 0; s < num_hosts_; ++s) {
       if (s == d) continue;
-      const auto& dist = dist_to_host[static_cast<std::size_t>(d)];
       const Device* src_host = net.host(s);
-      const int hops = dist[static_cast<std::size_t>(src_host->device_id())];
+      const int hops = hops_at(src_host);
       DCPIM_CHECK(hops > 0 && hops < 256, "host pair has no path");
-      pair_class_[static_cast<std::size_t>(s) *
-                      static_cast<std::size_t>(num_hosts_) +
+      pair_class_[static_cast<std::size_t>(s) * hosts +
                   static_cast<std::size_t>(d)] =
           static_cast<std::uint8_t>(hops);
-      if (class_profiles_.count(hops) != 0) continue;
+      if (s >= class_src[static_cast<std::size_t>(hops)]) continue;
+      class_src[static_cast<std::size_t>(hops)] = s;
 
       // Walk one canonical shortest path, accumulating fixed latency and
       // per-link rates.
       PathProfile prof;
       const Device* cur = src_host;
-      while (cur->device_id() != net.host(d)->device_id()) {
+      while (cur != net.host(d)) {
         const Port* chosen = nullptr;
-        const int cur_dist = dist[static_cast<std::size_t>(cur->device_id())];
+        const int cur_dist = hops_at(cur);
         for (const auto& port : cur->ports) {
           const Device* peer = port->peer();
-          if (peer != nullptr &&
-              dist[static_cast<std::size_t>(peer->device_id())] ==
-                  cur_dist - 1) {
+          if (peer != nullptr && hops_at(peer) == cur_dist - 1) {
             chosen = port.get();
             break;
           }
@@ -114,10 +111,11 @@ void Topology::finalize(Network& net) {
       }
       prof.bottleneck =
           *std::min_element(prof.link_rates.begin(), prof.link_rates.end());
-      class_profiles_.emplace(hops, std::move(prof));
+      class_profiles_[hops] = std::move(prof);
     }
   }
 
+  const auto& cfg = net.config();
   // Network-wide extremes (dcPIM sizes its stages on the longest cRTT).
   host_rate_ = net.host(0)->nic()->config().rate;
   for (const auto& [hops, prof] : class_profiles_) {

@@ -6,29 +6,27 @@
 #pragma once
 
 #include <cstdlib>
-#include <string>
+#include <optional>
 
 namespace dcpim {
 
-inline double env_double(const char* name, double fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end != v) return parsed;
-  }
-  return fallback;
-}
-
-inline long env_long(const char* name, long fallback) {
-  if (const char* v = std::getenv(name)) {
-    char* end = nullptr;
-    const long parsed = std::strtol(v, &end, 10);
-    if (end != v) return parsed;
-  }
-  return fallback;
+/// The value of environment variable `name` read as a whole number:
+/// `fallback` when unset, nullopt when set but not a number in full
+/// (empty, "abc", "4x").
+inline std::optional<double> env_double(const char* name, double fallback) {
+  const char* v = std::getenv(name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  const double parsed = std::strtod(v, &end);
+  if (end == v || *end != '\0') return std::nullopt;
+  return parsed;
 }
 
 /// Global scale factor applied by bench binaries to simulated horizons.
-inline double bench_scale() { return env_double("DCPIM_BENCH_SCALE", 1.0); }
+/// An unparsable value reads as 1.0 here; bench binaries refuse it at
+/// start-up (bench/bench_common.h, parse_common_flags).
+inline double bench_scale() {
+  return env_double("DCPIM_BENCH_SCALE", 1.0).value_or(1.0);
+}
 
 }  // namespace dcpim

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Command-line contracts of the bench binaries (run by ctest).
 
-Pins that bad arguments fail loudly (exit 2, one line on stderr) instead of
-being ignored or read as 0, that spec-driven figures honour --faults, and
+Pins that bad arguments and environment knobs fail loudly (exit 2, one line
+on stderr) instead of being ignored or read as 0 or a fallback, that a CSV
+that cannot be written fails the run, that spec-driven figures honour
+--faults, and
 that `bench/campaign` prints the same stdout, summary table included,
 whether a campaign ran fresh or resumed from a journal. Requires the built
 binaries in $DCPIM_BENCH_DIR, which ctest sets to the build's bench
@@ -25,10 +27,11 @@ SMOKE = SPECS / "smoke.campaign"
 PLAN = "blackhole:spine0@30us:40us"
 
 
-def run(binary: str, *args: str, scale: str | None = None):
+def run(binary: str, *args: str, scale: str | None = None, **env_vars: str):
     env = dict(os.environ)
     if scale is not None:
         env["DCPIM_BENCH_SCALE"] = scale
+    env.update(env_vars)
     return subprocess.run([str(BENCH / binary), *args], capture_output=True,
                           text=True, env=env, timeout=300)
 
@@ -61,6 +64,38 @@ class BenchCli(unittest.TestCase):
             run("campaign", "--spec", str(SMOKE), "--journal", "none",
                 "--max-cells", "two"),
             "--max-cells expects a non-negative integer")
+
+    def test_unparsable_env_knobs_exit_2(self):
+        for value in ("abc", "4x", "-1"):
+            with self.subTest(DCPIM_JOBS=value):
+                self.assert_usage_error(run("fig4a_bursty", DCPIM_JOBS=value),
+                                        "DCPIM_JOBS expects a non-negative "
+                                        f"integer, got '{value}'")
+        for value in ("abc", "4x"):
+            with self.subTest(DCPIM_BENCH_SCALE=value):
+                self.assert_usage_error(run("fig4a_bursty", scale=value),
+                                        "DCPIM_BENCH_SCALE expects a number, "
+                                        f"got '{value}'")
+
+    def test_jobs_env_zero_means_all_cores_like_the_flag(self):
+        def jobs_used(proc):
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            return {word for word in proc.stderr.split()
+                    if word.startswith("jobs=")}
+        smoke = ("--spec", str(SMOKE), "--journal", "none")
+        by_flag = jobs_used(run("campaign", *smoke, "--jobs", "0"))
+        by_env = jobs_used(run("campaign", *smoke, DCPIM_JOBS="0"))
+        self.assertEqual(len(by_flag), 1, by_flag)
+        self.assertEqual(by_env, by_flag)
+
+    def test_unwritable_csv_dir_fails_naming_the_path(self):
+        proc = run("fig3cde_slowdown_by_size", scale="0.05",
+                   DCPIM_BENCH_CSV="/nonexistent/dir")
+        self.assertNotEqual(proc.returncode, 0, proc.stderr)
+        named = [ln for ln in proc.stderr.splitlines()
+                 if "/nonexistent/dir/" in ln]
+        self.assertEqual(len(named), 1, proc.stderr)
+        self.assertIn("cannot write CSV", named[0])
 
     def test_binaries_without_configs_refuse_faults(self):
         for binary in ("related_fastpass", "theorem1_matching"):

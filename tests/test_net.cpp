@@ -3,8 +3,10 @@
 // topologies, routing, and oracle FCTs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "net/host.h"
@@ -74,7 +76,8 @@ struct TwoHostFixture {
     sw = net.add_device<Switch>("sw");
     Network::connect(*a, *sw, link);
     Network::connect(*b, *sw, link);
-    sw->set_next_hops({{0}, {1}});
+    sw->set_route(0, {0});
+    sw->set_route(1, {1});
   }
   Network net;
   SinkHost* a;
@@ -210,6 +213,76 @@ TEST(PortTest, PausedPortSendsOnlyControl) {
   EXPECT_EQ(f.b->received.size(), 2u);
 }
 
+PacketPtr numbered(std::uint32_t seq) {
+  auto p = std::make_unique<Packet>();
+  p->seq = seq;
+  return p;
+}
+
+TEST(PacketRingTest, FifoAcrossWrapAroundAndGrowth) {
+  PacketRing ring;
+  EXPECT_EQ(ring.capacity(), 0u);
+  std::uint32_t pushed = 0;
+  std::uint32_t popped = 0;
+  const auto pop_expect = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_FALSE(ring.empty());
+      EXPECT_EQ(ring.pop()->seq, popped++);
+    }
+  };
+  for (int i = 0; i < 6; ++i) ring.push(numbered(pushed++));
+  EXPECT_EQ(ring.capacity(), 8u);
+  pop_expect(4);
+  // Six more wrap past the end of the 8 slots; the ninth live packet
+  // grows the ring while its head sits mid-buffer.
+  for (int i = 0; i < 6; ++i) ring.push(numbered(pushed++));
+  EXPECT_EQ(ring.capacity(), 8u);
+  EXPECT_EQ(ring.size(), 8u);
+  ring.push(numbered(pushed++));
+  EXPECT_EQ(ring.capacity(), 16u);
+  pop_expect(5);
+  // Wrap the grown ring too, then drain it.
+  for (int i = 0; i < 11; ++i) ring.push(numbered(pushed++));
+  EXPECT_EQ(ring.capacity(), 16u);
+  pop_expect(static_cast<int>(ring.size()));
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(popped, pushed);
+  // Draining never shrinks the buffer.
+  EXPECT_EQ(ring.capacity(), 16u);
+}
+
+TEST(PortTest, IdlePortQueuesHoldNoBuffer) {
+  TwoHostFixture f(fast_link());
+  const auto capacities = [&f](const Device& dev) {
+    std::vector<std::size_t> caps;
+    for (const auto& port : dev.ports) {
+      for (int prio = 0; prio < kNumPriorities; ++prio) {
+        caps.push_back(port->queue_capacity(prio));
+      }
+    }
+    return caps;
+  };
+  for (const Device* dev : {static_cast<Device*>(f.a),
+                            static_cast<Device*>(f.b),
+                            static_cast<Device*>(f.sw)}) {
+    for (std::size_t cap : capacities(*dev)) EXPECT_EQ(cap, 0u);
+  }
+  for (int i = 0; i < 3; ++i) {
+    f.a->inject(f.a->make_raw(1, Bytes{1500}, 2, false));
+  }
+  f.net.sim().run();
+  ASSERT_EQ(f.b->received.size(), 3u);
+  // Only the priority that carried traffic, on the two ports it crossed
+  // (a's NIC and the switch's port toward b), holds slots.
+  for (int prio = 0; prio < kNumPriorities; ++prio) {
+    const std::size_t used = prio == 2 ? 8 : 0;
+    EXPECT_EQ(f.a->nic()->queue_capacity(prio), used);
+    EXPECT_EQ(f.sw->ports[1]->queue_capacity(prio), used);
+    EXPECT_EQ(f.sw->ports[0]->queue_capacity(prio), 0u);
+    EXPECT_EQ(f.b->nic()->queue_capacity(prio), 0u);
+  }
+}
+
 TEST(PfcTest, IngressOverflowPausesUpstreamAndResumes) {
   PortConfig link = fast_link();
   link.pfc_enable = true;
@@ -225,7 +298,8 @@ TEST(PfcTest, IngressOverflowPausesUpstreamAndResumes) {
   PortConfig slow = link;
   slow.rate = 1 * kGbps;
   Network::connect(*b, *sw, link, slow);  // switch->b at 1G
-  sw->set_next_hops({{0}, {1}});
+  sw->set_route(0, {0});
+  sw->set_route(1, {1});
   for (int i = 0; i < 60; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run(TimePoint(us(5)));
   EXPECT_GT(sw->pfc_pauses_sent, 0u);
@@ -389,6 +463,84 @@ TEST(TopologyTest, FatTreeShapeAndReachability) {
   EXPECT_LT(topo.one_way_data(0, 3), topo.one_way_data(0, 15));
 }
 
+/// Checks every switch's routing table against an independent BFS: for each
+/// destination host, the candidates are exactly the ports whose peer is one
+/// hop closer to it, in port-index order (the order the LB draws index).
+void expect_routes_match_bfs(const Network& net) {
+  const auto& devices = net.devices();
+  for (int d = 0; d < net.num_hosts(); ++d) {
+    std::vector<int> dist(devices.size(), -1);
+    std::vector<const Device*> order{net.host(d)};
+    dist[static_cast<std::size_t>(net.host(d)->device_id())] = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const int here = dist[static_cast<std::size_t>(order[i]->device_id())];
+      for (const auto& port : order[i]->ports) {
+        int& pd = dist[static_cast<std::size_t>(port->peer()->device_id())];
+        if (pd < 0) {
+          pd = here + 1;
+          order.push_back(port->peer());
+        }
+      }
+    }
+    for (const auto& dev : devices) {
+      if (dev->kind() != Device::Kind::Switch) continue;
+      const auto* sw = static_cast<const Switch*>(dev.get());
+      std::vector<std::uint16_t> want;
+      for (const auto& port : sw->ports) {
+        if (dist[static_cast<std::size_t>(port->peer()->device_id())] ==
+            dist[static_cast<std::size_t>(sw->device_id())] - 1) {
+          want.push_back(static_cast<std::uint16_t>(port->index()));
+        }
+      }
+      const auto got = sw->candidates(d);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << sw->name() << " -> host " << d;
+    }
+  }
+}
+
+/// Distinct next-hop groups per switch, keyed by name prefix.
+std::set<std::size_t> group_counts(const Network& net, const std::string& prefix) {
+  std::set<std::size_t> counts;
+  for (const auto& dev : net.devices()) {
+    if (dev->name().rfind(prefix, 0) == 0) {
+      counts.insert(static_cast<const Switch*>(dev.get())->num_groups());
+    }
+  }
+  return counts;
+}
+
+TEST(TopologyTest, LeafSpine1024InternsBfsNextHops) {
+  NetConfig ncfg;
+  Network net(ncfg);
+  LeafSpineParams p;
+  p.racks = 64;
+  p.hosts_per_rack = 16;
+  p.spines = 16;
+  auto topo = Topology::leaf_spine(net, p, factory_of<SinkHost>());
+  ASSERT_EQ(topo.num_hosts(), 1024);
+  expect_routes_match_bfs(net);
+  // A leaf: one group per down-port plus the 16-spine uplink group. A
+  // spine: one down-port per rack.
+  EXPECT_EQ(group_counts(net, "leaf"), std::set<std::size_t>{17});
+  EXPECT_EQ(group_counts(net, "spine"), std::set<std::size_t>{64});
+}
+
+TEST(TopologyTest, FatTreeInternsBfsNextHops) {
+  NetConfig ncfg;
+  Network net(ncfg);
+  FatTreeParams p;
+  p.k = 8;  // 128 hosts
+  auto topo = Topology::fat_tree(net, p, factory_of<SinkHost>());
+  ASSERT_EQ(topo.num_hosts(), 128);
+  expect_routes_match_bfs(net);
+  // Edge: 4 hosts + the uplinks. Aggregation: 4 edges + the uplinks.
+  // Core: one down-port per pod.
+  EXPECT_EQ(group_counts(net, "edge"), std::set<std::size_t>{5});
+  EXPECT_EQ(group_counts(net, "agg"), std::set<std::size_t>{5});
+  EXPECT_EQ(group_counts(net, "core"), std::set<std::size_t>{8});
+}
+
 TEST(TopologyTest, OversubscriptionReducesBisection) {
   NetConfig ncfg;
   Network net1(ncfg), net2(ncfg);
@@ -423,6 +575,23 @@ TEST(NetworkTest, FlowLifecycleAndObservers) {
   EXPECT_EQ(payload_seen, Bytes{120'000});
   EXPECT_EQ(net.completed_flows, 2u);
   EXPECT_EQ(net.total_payload_delivered(), Bytes{120'000});
+}
+
+TEST(NetworkTest, FlowLookupByDenseId) {
+  NetConfig ncfg;
+  Network net(ncfg);
+  LeafSpineParams p;
+  p.racks = 1;
+  p.hosts_per_rack = 2;
+  p.spines = 1;
+  auto topo = Topology::leaf_spine(net, p, factory_of<SinkHost>());
+  (void)topo;
+  Flow* first = net.create_flow(0, 1, Bytes{1000}, TimePoint{});
+  Flow* second = net.create_flow(1, 0, Bytes{1000}, TimePoint{});
+  EXPECT_EQ(net.flow(first->id), first);
+  EXPECT_EQ(net.flow(second->id), second);
+  EXPECT_EQ(net.flow(0), nullptr);
+  EXPECT_EQ(net.flow(second->id + 1), nullptr);
 }
 
 }  // namespace

@@ -134,7 +134,8 @@ TEST(PfcTest, HysteresisAvoidsPauseFlapping) {
   PortConfig slow = link;
   slow.rate = 10 * kGbps;
   Network::connect(*b, *sw, link, slow);
-  sw->set_next_hops({{0}, {1}});
+  sw->set_route(0, {0});
+  sw->set_route(1, {1});
   for (int i = 0; i < 100; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run();
   EXPECT_EQ(b->received.size(), 100u);
@@ -156,7 +157,8 @@ TEST(TrimTest, ControlPacketsAreNeverTrimmed) {
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   Network::connect(*b, *sw, link);
-  sw->set_next_hops({{0}, {1}});
+  sw->set_route(0, {0});
+  sw->set_route(1, {1});
   for (int i = 0; i < 10; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   for (int i = 0; i < 10; ++i) a->inject(a->make_raw(1, Bytes{64}, 0, true));
   net.sim().run();
@@ -179,7 +181,8 @@ TEST(EcnTest, BelowThresholdNoMarks) {
   auto* sw = net.add_device<Switch>("sw");
   Network::connect(*a, *sw, link);
   Network::connect(*b, *sw, link);
-  sw->set_next_hops({{0}, {1}});
+  sw->set_route(0, {0});
+  sw->set_route(1, {1});
   for (int i = 0; i < 50; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run();
   for (const auto& pkt : b->received) EXPECT_FALSE(pkt->ecn_ce);
@@ -231,7 +234,8 @@ TEST(PfcTest, DroppedPacketsReleaseIngressAccounting) {
   PortConfig slow = link;
   slow.rate = 5 * kGbps;  // switch->b is the bottleneck
   Network::connect(*b, *sw, host_side, slow);
-  sw->set_next_hops({{0}, {1}});
+  sw->set_route(0, {0});
+  sw->set_route(1, {1});
   // Burst far beyond the egress buffer: drops + pauses happen.
   for (int i = 0; i < 200; ++i) a->inject(a->make_raw(1, Bytes{1540}, 2, false));
   net.sim().run(TimePoint(ms(5)));
