@@ -18,6 +18,9 @@
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include "campaign/grid.h"
 #include "campaign/runner.h"
 #include "campaign/spec.h"
@@ -72,6 +75,15 @@ inline std::string& program_name() {
   std::exit(2);
 }
 
+/// True if `dir` is a directory this process can create files in. Checked
+/// before the first cell, so a bad CSV destination fails in milliseconds
+/// instead of after the whole sweep has run.
+inline bool writable_dir(const std::string& dir) {
+  struct stat st{};
+  return stat(dir.c_str(), &st) == 0 && S_ISDIR(st.st_mode) &&
+         access(dir.c_str(), W_OK | X_OK) == 0;
+}
+
 /// Parses a non-negative decimal count for `flag`; anything else (empty,
 /// signs, trailing junk, overflow) is a usage error rather than 0.
 inline std::uint64_t parse_count(const char* flag, const std::string& value) {
@@ -102,8 +114,8 @@ inline std::uint64_t parse_count(const char* flag, const std::string& value) {
 ///               also --fault-seed=N).
 /// A missing or non-numeric value exits 2, and so does an unparsable
 /// $DCPIM_JOBS (read like --jobs, which overrides it) or
-/// $DCPIM_BENCH_SCALE. Unknown arguments are left alone for the binary to
-/// interpret.
+/// $DCPIM_BENCH_SCALE; a $DCPIM_BENCH_CSV that is not a writable directory
+/// exits 1. Unknown arguments are left alone for the binary to interpret.
 inline void parse_common_flags(int& argc, char** argv) {
   program_name() = argv[0];
   const auto set_jobs = [](const char* flag, const std::string& value) {
@@ -118,6 +130,13 @@ inline void parse_common_flags(int& argc, char** argv) {
   if (!env_double("DCPIM_BENCH_SCALE", 1.0)) {
     usage_error(std::string("DCPIM_BENCH_SCALE expects a number, got '") +
                 std::getenv("DCPIM_BENCH_SCALE") + "'");
+  }
+  const std::string csv_dir = harness::csv_dir_from_env();
+  if (!csv_dir.empty() && !writable_dir(csv_dir)) {
+    std::fprintf(stderr,
+                 "%s: cannot write CSV %s/ (not a writable directory)\n",
+                 program_name().c_str(), csv_dir.c_str());
+    std::exit(1);
   }
   int out = 1;
   for (int i = 1; i < argc; ++i) {

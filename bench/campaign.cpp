@@ -15,7 +15,8 @@
 // values and across kill/resume splits; progress goes to stderr. Audit and
 // fault columns are in the merged CSV (--csv).
 //
-// Exit codes: 0 campaign complete, 1 merged CSV could not be written,
+// Exit codes: 0 campaign complete, 1 merged CSV could not be written (a
+// --csv directory that is not writable is refused before the first cell),
 // 2 spec/usage error, 3 incomplete (some cells skipped by --max-cells —
 // rerun to continue from the journal).
 #include <algorithm>
@@ -151,6 +152,12 @@ int main(int argc, char** argv) {
                     cell.label.c_str());
       }
       return 0;
+    }
+
+    if (!csv_dir.empty() && !bench::writable_dir(csv_dir)) {
+      std::fprintf(stderr, "campaign: cannot write merged CSV %s/%s.csv\n",
+                   csv_dir.c_str(), spec.name.c_str());
+      return 1;
     }
 
     campaign::CampaignOptions options;

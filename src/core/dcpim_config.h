@@ -18,12 +18,9 @@ struct DcpimConfig {
 
   // --- environment-derived (filled from the topology) ----------------------
   Time control_rtt{};  ///< longest unloaded control RTT in the fabric
-  Bytes bdp_bytes{};   ///< 1 BDP at the access link
-
-  /// Flows <= threshold bypass matching (default: 1 BDP). Zero = use BDP.
-  Bytes short_flow_threshold{};
-  /// Per-flow token window (default: 1 BDP). Zero = use BDP.
-  Bytes token_window_bytes{};
+  /// 1 BDP at the access link: both the short-flow cut-off (flows <= 1 BDP
+  /// bypass matching) and the per-flow token window (§3.2).
+  Bytes bdp_bytes{};
 
   // --- optimizations & ablations -----------------------------------------
   bool fct_optimizing_first_round = true;  ///< §3.5 smallest-flow round 1
@@ -47,24 +44,10 @@ struct DcpimConfig {
   /// A few percent of headroom keeps the loop near its unloaded value.
   double token_pacing_headroom = 0.04;
 
-  // --- recovery timers ------------------------------------------------------
-  /// Notification / finish control retransmission interval; zero = cRTT.
-  Time control_retx_timeout{};
-  int max_control_retx = 50;
-
   // --- derived quantities ---------------------------------------------------
   Time stage_length() const { return control_rtt * (beta / 2.0); }
   /// Matching-phase length == data-phase length (pipelined, §3.3).
   Time epoch_length() const { return stage_length() * (2 * rounds + 1); }
-  Bytes effective_short_threshold() const {
-    return short_flow_threshold > Bytes{} ? short_flow_threshold : bdp_bytes;
-  }
-  Bytes effective_token_window() const {
-    return token_window_bytes > Bytes{} ? token_window_bytes : bdp_bytes;
-  }
-  Time effective_control_retx() const {
-    return control_retx_timeout > Time{} ? control_retx_timeout : control_rtt;
-  }
 
   void validate() const {
     DCPIM_CHECK_GE(rounds, 1, "dcPIM needs at least one matching round");

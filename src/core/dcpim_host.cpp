@@ -11,6 +11,8 @@ namespace dcpim::core {
 namespace {
 constexpr std::uint8_t kShortFlowPriority = 1;
 constexpr std::uint8_t kLongFlowBasePriority = 2;
+/// Notification / finish retransmissions per flow; each waits one cRTT.
+constexpr int kMaxControlRetx = 50;
 
 std::uint32_t seq_count(const net::Flow& flow, Bytes mtu_payload) {
   // sa-ok(unit-raw): data seq numbers are raw uint32 indices on the wire
@@ -20,7 +22,19 @@ std::uint32_t seq_count(const net::Flow& flow, Bytes mtu_payload) {
 
 DcpimHost::DcpimHost(net::Network& net, int host_id,
                      const net::PortConfig& nic, const DcpimConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {
+    : net::Host(net, host_id, nic),
+      cfg_(cfg),
+      token_queue_(*this, [this](const TokenPacket& tok) {
+        // Expired tokens are dropped here rather than standing in the NIC
+        // queue; their packets are re-admitted when the receiver matches
+        // this sender again (§3.2).
+        if (token_expired(tok)) {
+          ++counters_.tokens_expired;
+          return false;
+        }
+        transmit_for_token(tok);
+        return true;
+      }) {
   if (cfg_.clock_jitter > Time{}) {
     jitter_ = Time{static_cast<std::int64_t>(network().rng().uniform_int(
         // sa-ok(unit-raw): the rng draws over a raw inclusive picosecond range
@@ -50,12 +64,6 @@ Bytes DcpimHost::channel_bytes_per_phase() const {
   return bytes_in(cfg_.epoch_length(), nic()->config().rate) / cfg_.channels;
 }
 
-std::size_t DcpimHost::total_window_packets() const {
-  const Bytes mtu = network().config().mtu_payload;
-  return static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cfg_.effective_token_window() / mtu));
-}
-
 void DcpimHost::forget_outstanding(RxFlow& rx) {
   DCPIM_CHECK_GE(outstanding_total_, rx.outstanding.size(),
                  "receiver outstanding-token accounting drifted");
@@ -64,8 +72,7 @@ void DcpimHost::forget_outstanding(RxFlow& rx) {
 }
 
 std::uint32_t DcpimHost::window_packets(int channels) const {
-  const Bytes window =
-      cfg_.effective_token_window() * channels / cfg_.channels;
+  const Bytes window = cfg_.bdp_bytes * channels / cfg_.channels;
   const Bytes mtu = network().config().mtu_payload;
   return static_cast<std::uint32_t>(std::max<std::int64_t>(1, window / mtu));
 }
@@ -106,7 +113,7 @@ void DcpimHost::on_flow_arrival(net::Flow& flow) {
   tx.flow = &flow;
   tx.packets = seq_count(flow, network().config().mtu_payload);
   tx.sent.assign(tx.packets, false);
-  tx.is_short = flow.size <= cfg_.effective_short_threshold();
+  tx.is_short = flow.size <= cfg_.bdp_bytes;
   auto [it, inserted] = tx_flows_.emplace(flow.id, std::move(tx));
   DCPIM_CHECK(inserted, "duplicate flow arrival at sender");
   TxFlow& ref = it->second;
@@ -141,12 +148,11 @@ void DcpimHost::send_notification(TxFlow& tx, bool retransmit) {
 }
 
 void DcpimHost::schedule_notify_timer(std::uint64_t flow_id) {
-  network().sim().schedule_local(cfg_.effective_control_retx(), [this,
-                                                                 flow_id]() {
+  network().sim().schedule_local(cfg_.control_rtt, [this, flow_id]() {
     auto it = tx_flows_.find(flow_id);
     if (it == tx_flows_.end()) return;
     TxFlow& tx = it->second;
-    if (tx.notify_acked || tx.notify_retx >= cfg_.max_control_retx) return;
+    if (tx.notify_acked || tx.notify_retx >= kMaxControlRetx) return;
     ++tx.notify_retx;
     send_notification(tx, /*retransmit=*/true);
     schedule_notify_timer(flow_id);
@@ -165,11 +171,11 @@ void DcpimHost::maybe_send_finish(TxFlow& tx) {
 
 void DcpimHost::schedule_finish_timer(std::uint64_t flow_id) {
   network().sim().schedule_local(
-      cfg_.effective_control_retx(), [this, flow_id]() {
+      cfg_.control_rtt, [this, flow_id]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
         TxFlow& tx = it->second;
-        if (tx.finish_acked || tx.finish_retx >= cfg_.max_control_retx) return;
+        if (tx.finish_acked || tx.finish_retx >= kMaxControlRetx) return;
         ++tx.finish_retx;
         ++counters_.finish_retx;
         auto fin = make_control<FinishPacket>(tx.flow->dst, kFinish);
@@ -291,30 +297,7 @@ void DcpimHost::handle_token(const TokenPacket& tok) {
     counters_.token_oneway_time += network().sim().now() - tok.created_at;
     ++counters_.token_oneway_count;
   }
-  token_queue_.push_back(tok);
-  if (!sender_pacer_running_) {
-    sender_pacer_running_ = true;
-    sender_pacer_tick();
-  }
-}
-
-void DcpimHost::sender_pacer_tick() {
-  // Pop the next still-valid token; expired ones are dropped here rather
-  // than standing in the NIC queue — their packets will be re-admitted when
-  // the receiver matches this sender again (§3.2).
-  while (!token_queue_.empty() && token_expired(token_queue_.front())) {
-    ++counters_.tokens_expired;
-    token_queue_.pop_front();
-  }
-  if (token_queue_.empty()) {
-    sender_pacer_running_ = false;
-    return;
-  }
-  const TokenPacket tok = token_queue_.front();
-  token_queue_.pop_front();
-  transmit_for_token(tok);
-  network().sim().schedule_local(mtu_tx_time(),
-                                 [this]() { sender_pacer_tick(); });
+  token_queue_.pace(tok);
 }
 
 void DcpimHost::transmit_for_token(const TokenPacket& tok) {
@@ -347,10 +330,10 @@ void DcpimHost::handle_notification(const NotificationPacket& note) {
   RxFlow rx;
   rx.flow = flow;
   rx.packets = seq_count(*flow, network().config().mtu_payload);
-  rx.needs_matching = flow->size > cfg_.effective_short_threshold();
+  rx.needs_matching = flow->size > cfg_.bdp_bytes;
   rx_flows_.emplace(note.flow_id, std::move(rx));
 
-  if (flow->size > cfg_.effective_short_threshold()) {
+  if (flow->size > cfg_.bdp_bytes) {
     rx_by_sender_[note.src].push_back(note.flow_id);
   } else {
     // Short flow: data is already en route unscheduled. If it does not
@@ -437,7 +420,7 @@ void DcpimHost::handle_data(net::PacketPtr p) {
     RxFlow rx;
     rx.flow = flow;
     rx.packets = seq_count(*flow, network().config().mtu_payload);
-    rx.needs_matching = flow->size > cfg_.effective_short_threshold();
+    rx.needs_matching = flow->size > cfg_.bdp_bytes;
     it = rx_flows_.emplace(id, std::move(rx)).first;
     if (it->second.needs_matching) {
       rx_by_sender_[flow->src].push_back(id);
@@ -642,7 +625,7 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
   active_phase_ = m;
   if (it == recv_epochs_.end() || it->second.matches.empty()) return;
 
-  const Time token_timeout = cfg_.epoch_length() + cfg_.control_rtt;
+  const Time token_lifetime = cfg_.epoch_length() + cfg_.control_rtt;
   const TimePoint now = network().sim().now();
   // active_matches_ indexes token_tick round-robin order, so the match set
   // must enter it in sender-id order, not unordered_map bucket order.
@@ -662,7 +645,7 @@ void DcpimHost::start_data_phase(std::uint64_t m) {
         // sa-ok(determinism): the harvested set is sorted before it
         // reaches readmit order, two lines down.
         for (const auto& [seq, sent_at] : rx.outstanding) {
-          if (now - sent_at > token_timeout) timed_out.push_back(seq);
+          if (now - sent_at > token_lifetime) timed_out.push_back(seq);
         }
         // readmit is a FIFO of token issue order: sort so re-admission
         // order never inherits unordered_map bucket order.

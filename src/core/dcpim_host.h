@@ -56,7 +56,6 @@ class DcpimHost : public net::Host {
     std::uint64_t short_flows_rescued = 0;  ///< short flows moved to matching
   };
   const Counters& counters() const { return counters_; }
-  const DcpimConfig& protocol_config() const { return cfg_; }
 
   /// Loss recovery = notify/finish control retransmits plus token-timeout
   /// readmissions (§5.1) — the actions dcPIM takes only when packets die.
@@ -142,9 +141,6 @@ class DcpimHost : public net::Host {
   void run_grant_stage(std::uint64_t m, int round);
   void handle_accept(const AcceptPacket& acc);
   void handle_token(const TokenPacket& tok);
-  /// Sender-side data pacer (§3.2): one admitted packet per MTU time, with
-  /// stale tokens discarded at pop time (phase end + cRTT/2 grace).
-  void sender_pacer_tick();
   bool token_expired(const TokenPacket& tok) const;
   void transmit_for_token(const TokenPacket& tok);
 
@@ -212,11 +208,11 @@ class DcpimHost : public net::Host {
   EpochAuditHook epoch_audit_hook_;
 
   std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
-  /// Sender-side queue of unused tokens, drained at one packet per MTU
-  /// transmission time; stale entries expire instead of standing in the
-  /// NIC queue (the paper's "discard unused tokens" rule, §3.2).
-  std::deque<TokenPacket> token_queue_;
-  bool sender_pacer_running_ = false;
+  /// Sender-side data pacer (§3.2): unused tokens drained at one packet
+  /// per MTU transmission time; stale entries (phase end + cRTT/2 grace)
+  /// expire instead of standing in the NIC queue (the paper's "discard
+  /// unused tokens" rule).
+  MtuPacer<TokenPacket> token_queue_;
   std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
   /// Receiver-side index: sender -> flow ids that (may) need matching.
   std::unordered_map<int, std::vector<std::uint64_t>> rx_by_sender_;
@@ -236,7 +232,6 @@ class DcpimHost : public net::Host {
   /// (introspection/debugging; admission itself is bounded per flow by the
   /// channel-scaled window plus the sender-side stale-token expiry).
   std::size_t outstanding_total_ = 0;
-  std::size_t total_window_packets() const;
   void forget_outstanding(RxFlow& rx);
 };
 

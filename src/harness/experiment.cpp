@@ -129,13 +129,11 @@ net::PortCustomize make_port_customize(Runtime& rt, Bytes mtu_wire) {
         pc.loss_rate = loss;
         proto::hpcc_port_customize(pc);
       };
-    case Protocol::Dctcp: {
-      const Bytes threshold = rt.exp.dctcp.ecn_threshold_bytes;
-      return [loss, threshold](net::PortConfig& pc) {
+    case Protocol::Dctcp:
+      return [loss](net::PortConfig& pc) {
         pc.loss_rate = loss;
-        proto::dctcp_port_customize(pc, threshold);
+        proto::dctcp_port_customize(pc, pc.buffer_bytes / 4);
       };
-    }
     default:
       return [loss](net::PortConfig& pc) { pc.loss_rate = loss; };
   }

@@ -69,9 +69,6 @@ class FlowRxState {
   bool has(std::uint32_t seq) const { return seq < seen_.size() && seen_[seq]; }
   bool complete() const { return received_count_ == seen_.size(); }
   Bytes received_bytes() const { return received_bytes_; }
-  std::uint32_t received_count() const {
-    return static_cast<std::uint32_t>(received_count_);
-  }
   std::uint32_t total_packets() const {
     return static_cast<std::uint32_t>(seen_.size());
   }

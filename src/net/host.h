@@ -5,14 +5,17 @@
 
 #include "util/check.h"
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <type_traits>
 #include <unordered_map>
+#include <utility>
 
 #include "net/device.h"
 #include "net/flow.h"
 #include "net/network.h"
 #include "net/packet.h"
+#include "util/unique_function.h"
 
 namespace dcpim::net {
 
@@ -106,6 +109,58 @@ class Host : public Device {
 
   /// MTU transmission time on this host's NIC (full data packet).
   Time mtu_tx_time() const;
+
+  /// FIFO drained one entry per MTU transmission time: the sender pacer of
+  /// dcPIM, pHost and Homa, and NDP's pull pacer. `serve` handles the head
+  /// entry; it returns false for an entry that should be dropped without
+  /// using a slot, and the next entry is then served at once. A push that
+  /// wakes an idle pacer serves synchronously; every served entry schedules
+  /// the next tick one MTU time later. Owned by its host (the tick captures
+  /// `this`), so it must not move. (Its members avoid the std container
+  /// names: dcpim-sa resolves calls by simple name, and a `push_back` here
+  /// would put this helper on every hot path that fills a vector.)
+  template <typename T>
+  class MtuPacer {
+   public:
+    MtuPacer(Host& host, UniqueFunction<bool(const T&)> serve)
+        : host_(host), serve_(std::move(serve)) {}
+    MtuPacer(const MtuPacer&) = delete;
+    MtuPacer& operator=(const MtuPacer&) = delete;
+
+    /// Queues `entry` behind the others.
+    void pace(T entry) {
+      queue_.push_back(std::move(entry));
+      wake();
+    }
+    /// Queues `entry` ahead of the others (NDP's pulls for trimmed data).
+    void pace_first(T entry) {
+      queue_.push_front(std::move(entry));
+      wake();
+    }
+
+   private:
+    void wake() {
+      if (running_) return;
+      running_ = true;
+      serve_next();
+    }
+    void serve_next() {
+      while (!queue_.empty()) {
+        const T entry = std::move(queue_.front());
+        queue_.pop_front();
+        if (!serve_(entry)) continue;
+        host_.network().sim().schedule_local(host_.mtu_tx_time(),
+                                             [this]() { serve_next(); });
+        return;
+      }
+      running_ = false;
+    }
+
+    Host& host_;
+    UniqueFunction<bool(const T&)> serve_;
+    std::deque<T> queue_;
+    bool running_ = false;
+  };
 
  private:
   int host_id_;

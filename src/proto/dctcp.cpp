@@ -4,9 +4,13 @@
 
 namespace dcpim::proto {
 
+namespace {
+constexpr double kAlphaGain = 1.0 / 16.0;  ///< EWMA gain g for alpha
+}  // namespace
+
 DctcpHost::DctcpHost(net::Network& net, int host_id,
                      const net::PortConfig& nic, const DctcpConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window), cfg_(cfg) {}
+    : WindowHost(net, host_id, nic, cfg.window) {}
 
 void DctcpHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   ++f.window_acks;
@@ -17,7 +21,7 @@ void DctcpHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   if (now - f.window_start >= rtt && f.window_acks > 0) {
     const double frac = static_cast<double>(f.window_marks) /
                         static_cast<double>(f.window_acks);
-    f.dctcp_alpha = (1.0 - cfg_.g) * f.dctcp_alpha + cfg_.g * frac;
+    f.dctcp_alpha = (1.0 - kAlphaGain) * f.dctcp_alpha + kAlphaGain * frac;
     if (f.window_marks > 0) {
       // sa-ok(unit-raw): the congestion window evolves multiplicatively, in
       // doubles
@@ -62,7 +66,7 @@ net::Topology::HostFactory dctcp_host_factory(const DctcpConfig& cfg) {
 }
 
 void dctcp_port_customize(net::PortConfig& cfg, Bytes threshold) {
-  cfg.ecn_threshold = threshold > Bytes{} ? threshold : cfg.buffer_bytes / 4;
+  cfg.ecn_threshold = threshold;
 }
 
 }  // namespace dcpim::proto

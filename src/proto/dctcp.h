@@ -11,9 +11,6 @@ namespace dcpim::proto {
 
 struct DctcpConfig {
   WindowConfig window;
-  double g = 1.0 / 16.0;  ///< EWMA gain for alpha
-  /// Switch ECN marking threshold; applied by dctcp_port_customize.
-  Bytes ecn_threshold_bytes{};  ///< zero = ~1/4 of the port buffer
 };
 
 class DctcpHost : public WindowHost {
@@ -25,12 +22,11 @@ class DctcpHost : public WindowHost {
   void on_ack_event(WFlow& f, const AckPacket& ack) override;
   void on_fast_retransmit(WFlow& f) override;
   void on_timeout(WFlow& f) override;
-
- private:
-  const DctcpConfig& cfg_;
 };
 
 net::Topology::HostFactory dctcp_host_factory(const DctcpConfig& cfg);
+/// Marks CE above `threshold` bytes of queue (the harness uses 1/4 of the
+/// port buffer).
 void dctcp_port_customize(net::PortConfig& cfg, Bytes threshold);
 
 }  // namespace dcpim::proto

@@ -15,6 +15,12 @@ namespace {
 enum FastpassKind : int {
   kFpData = 0,
 };
+
+constexpr std::uint8_t kDataPriority = 2;
+
+/// Sender-side loss timer: an incomplete, fully transmitted flow is
+/// re-requested when it fires.
+Time loss_timer(const FastpassConfig& cfg) { return cfg.control_rtt * 10; }
 }  // namespace
 
 // ===== arbiter ===============================================================
@@ -81,11 +87,9 @@ void FastpassArbiter::tick() {
                               [host, id]() { host->on_allocation(id); });
   }
 
-  const Time slot =
-      cfg_.timeslot > Time{}
-          ? cfg_.timeslot
-          : serialization_time(net_.config().mtu_wire(),
-                               net_.host(0)->nic()->config().rate);
+  // One timeslot: an MTU transmission time at the host rate.
+  const Time slot = serialization_time(net_.config().mtu_wire(),
+                                       net_.host(0)->nic()->config().rate);
   net_.sim().schedule_local(slot, [this]() { tick(); });
 }
 
@@ -133,14 +137,13 @@ void FastpassHost::on_allocation(std::uint64_t flow_id) {
   } else {
     return;  // nothing left (e.g. re-requested slots raced a completion)
   }
-  send(make_data_packet(*tx.flow,
-                        {.seq = seq, .priority = cfg_.data_priority}));
+  send(make_data_packet(*tx.flow, {.seq = seq, .priority = kDataPriority}));
   ++counters_.data_sent;
 }
 
 void FastpassHost::arm_loss_timer(std::uint64_t flow_id) {
   network().sim().schedule_local(
-      cfg_.effective_loss_timeout(), [this, flow_id]() {
+      loss_timer(cfg_), [this, flow_id]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end()) return;
         TxFlow& tx = it->second;

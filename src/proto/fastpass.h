@@ -24,15 +24,9 @@
 namespace dcpim::proto {
 
 struct FastpassConfig {
-  Time control_rtt{};  ///< host <-> arbiter round trip (topology cRTT)
-  Time timeslot{};     ///< zero = one MTU transmission time at the host rate
-  std::uint8_t data_priority = 2;
-  /// Receiver-side loss timeout; zero = 10 control RTTs.
-  Time loss_timeout{};
-
-  Time effective_loss_timeout() const {
-    return loss_timeout > Time{} ? loss_timeout : control_rtt * 10;
-  }
+  /// Host <-> arbiter round trip (topology cRTT); the sender's loss timer
+  /// is 10 of these.
+  Time control_rtt{};
 };
 
 class FastpassHost;
@@ -50,7 +44,6 @@ class FastpassArbiter {
   void register_host(int host_id, FastpassHost* host);
 
   std::uint64_t slots_allocated() const { return slots_allocated_; }
-  std::uint64_t matchings_computed() const { return matchings_computed_; }
 
  private:
   void tick();

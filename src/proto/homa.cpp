@@ -17,24 +17,32 @@ enum HomaKind : int {
   kHomaGrant,
   kHomaProbe,
 };
+
+/// Scheduled flows granted concurrently per receiver (overcommitment).
+constexpr std::size_t kOvercommit = 2;
+constexpr std::uint8_t kScheduledPriority = 5;
+/// No-progress resend requests per flow before the receiver stops asking.
+constexpr int kMaxResends = 100;
+
+/// Plain-Homa receiver resend timer (also the sender's notify retry).
+Time resend_period(const HomaConfig& cfg) { return cfg.control_rtt * 20; }
 }  // namespace
 
 HomaHost::HomaHost(net::Network& net, int host_id, const net::PortConfig& nic,
                    const HomaConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+    : net::Host(net, host_id, nic),
+      cfg_(cfg),
+      grant_queue_(*this, [this](const PendingGrant& g) {
+        auto it = tx_flows_.find(g.flow_id);
+        if (it == tx_flows_.end() || it->second.flow->finished()) return false;
+        send(make_data_packet(*it->second.flow,
+                              {.seq = g.seq, .priority = g.priority}));
+        ++counters_.sched_sent;
+        return true;
+      }) {}
 
 std::uint8_t HomaHost::unsched_priority_for(Bytes size) const {
-  if (!cfg_.unsched_cutoffs.empty()) {
-    for (std::size_t i = 0; i < cfg_.unsched_cutoffs.size(); ++i) {
-      if (size <= cfg_.unsched_cutoffs[i]) {
-        return static_cast<std::uint8_t>(
-            std::min<std::size_t>(1 + i, net::kNumPriorities - 1));
-      }
-    }
-    return static_cast<std::uint8_t>(std::min<std::size_t>(
-        1 + cfg_.unsched_cutoffs.size(), net::kNumPriorities - 1));
-  }
-  // Geometric defaults on the BDP scale (Homa computes these from the
+  // Geometric cutoffs on the BDP scale (Homa computes these from the
   // workload CDF; the geometric ladder preserves smaller==higher-priority).
   const Bytes bdp = cfg_.bdp_bytes;
   if (size <= bdp / 8) return 1;
@@ -89,7 +97,7 @@ void HomaHost::on_flow_arrival(net::Flow& flow) {
   // nothing on its side can retry — re-announce until it engages. Same
   // first-contact insurance as pHost's arm_rts_retry.
   const std::uint64_t id = flow.id;
-  network().sim().schedule_local(cfg_.effective_resend(),
+  network().sim().schedule_local(resend_period(cfg_),
                                  [this, id]() { notify_check(id); });
 }
 
@@ -106,7 +114,7 @@ void HomaHost::notify_check(std::uint64_t flow_id) {
   note->flow_size = tx.flow->size;
   send(std::move(note));
   ++counters_.notify_retx;
-  network().sim().schedule_local(cfg_.effective_resend(),
+  network().sim().schedule_local(resend_period(cfg_),
                                  [this, flow_id]() { notify_check(flow_id); });
 }
 
@@ -117,31 +125,8 @@ void HomaHost::handle_grant(const net::Packet& p) {
   TxFlow& tx = it->second;
   tx.grant_seen = true;
   if (tx.flow->finished() || grant.data_seq >= tx.packets) return;
-  grant_queue_.push_back(
+  grant_queue_.pace(
       PendingGrant{p.flow_id, grant.data_seq, grant.data_priority});
-  if (!sender_pacer_running_) {
-    sender_pacer_running_ = true;
-    sender_pacer_tick();
-  }
-}
-
-void HomaHost::sender_pacer_tick() {
-  while (!grant_queue_.empty()) {
-    const PendingGrant g = grant_queue_.front();
-    auto it = tx_flows_.find(g.flow_id);
-    if (it == tx_flows_.end() || it->second.flow->finished()) {
-      grant_queue_.pop_front();
-      continue;
-    }
-    grant_queue_.pop_front();
-    send(make_data_packet(*it->second.flow,
-                          {.seq = g.seq, .priority = g.priority}));
-    ++counters_.sched_sent;
-    network().sim().schedule_local(mtu_tx_time(),
-                                   [this]() { sender_pacer_tick(); });
-    return;
-  }
-  sender_pacer_running_ = false;
 }
 
 // ===== receiver side =========================================================
@@ -167,7 +152,7 @@ HomaHost::RxFlow* HomaHost::ensure_rx_flow(std::uint64_t flow_id) {
   }
   // Plain Homa relies on this (slow) resend timer for all loss recovery;
   // Aeolus keeps it for scheduled losses.
-  network().sim().schedule_local(cfg_.effective_resend(), [this, flow_id]() {
+  network().sim().schedule_local(resend_period(cfg_), [this, flow_id]() {
     resend_check(flow_id);
   });
   return &it->second;
@@ -225,7 +210,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
   const net::FlowRxState* st = find_rx_state(flow_id);
   const Bytes received = st != nullptr ? st->received_bytes() : Bytes{};
   if (received == rx.last_progress_bytes &&
-      rx.resends < cfg_.max_resends) {
+      rx.resends < kMaxResends) {
     // No progress for a full resend interval: re-admit everything missing
     // that is not already queued.
     ++rx.resends;
@@ -235,7 +220,7 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
     // sa-ok(determinism): harvest feeds keyed erases and an ordered
     // std::set insert — the outcome is visit-order independent.
     for (const auto& [seq, at] : rx.outstanding) {
-      if (now - at > cfg_.effective_resend()) stale.push_back(seq);
+      if (now - at > resend_period(cfg_)) stale.push_back(seq);
     }
     for (std::uint32_t seq : stale) {
       rx.outstanding.erase(seq);
@@ -252,13 +237,13 @@ void HomaHost::resend_check(std::uint64_t flow_id) {
     }
   }
   rx.last_progress_bytes = received;
-  network().sim().schedule_local(cfg_.effective_resend(), [this, flow_id]() {
+  network().sim().schedule_local(resend_period(cfg_), [this, flow_id]() {
     resend_check(flow_id);
   });
 }
 
 void HomaHost::recompute_active() {
-  // Keep the `overcommit` shortest-remaining candidates granted. Ties break
+  // Keep the kOvercommit shortest-remaining candidates granted. Ties break
   // on a per-host stable hash: sorting by flow id would make every receiver
   // of a uniform workload grant the same senders (herding).
   const std::uint64_t salt =
@@ -281,8 +266,7 @@ void HomaHost::recompute_active() {
   std::sort(order.begin(), order.end());
   active_.clear();
   for (std::size_t i = 0;
-       i < order.size() && i < static_cast<std::size_t>(cfg_.overcommit);
-       ++i) {
+       i < order.size() && i < kOvercommit; ++i) {
     const std::uint64_t id = std::get<2>(order[i]);
     active_.insert(id);
     RxFlow& rx = rx_flows_.at(id);
@@ -330,7 +314,7 @@ bool HomaHost::issue_grant(RxFlow& rx) {
   auto grant = make_control<GrantTokenPacket>(rx.flow->src, kHomaGrant);
   grant->flow_id = rx.flow->id;
   grant->data_seq = seq;
-  grant->data_priority = cfg_.scheduled_priority;
+  grant->data_priority = kScheduledPriority;
   send(std::move(grant));
   ++counters_.grants_sent;
   return true;

@@ -5,7 +5,7 @@
 //  * Senders blindly transmit the first RTT-bytes (1 BDP) "unscheduled" at a
 //    size-dependent high priority; the rest is "scheduled" — admitted by
 //    per-packet receiver grants (modelled as tokens) at a lower priority.
-//  * Receivers grant the `overcommit` shortest-remaining incomplete flows
+//  * Receivers grant the two shortest-remaining incomplete flows
 //    simultaneously, each paced at access line rate with a 1-BDP window —
 //    Homa's overcommitment, which fills last-hop buffers under load.
 //  * Plain Homa recovers losses only through slow receiver-side resend
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,23 +30,9 @@ namespace dcpim::proto {
 struct HomaConfig {
   // Topology-derived (filled after build, before the simulation starts).
   Bytes bdp_bytes{};    ///< RTT-bytes: unscheduled allowance & grant window
-  Time control_rtt{};
-
-  int overcommit = 2;  ///< scheduled flows granted concurrently per receiver
-  /// Unscheduled priority cutoffs by flow size; level i is used when
-  /// size <= cutoffs[i] (priorities 1..n, smaller flows higher priority).
-  /// Empty = geometric defaults from the BDP.
-  std::vector<Bytes> unsched_cutoffs;
-  std::uint8_t scheduled_priority = 5;
+  Time control_rtt{};  ///< the receiver resend timer is 20 control RTTs
 
   bool aeolus = false;  ///< probe-based first-RTT loss recovery
-  /// Plain-Homa resend timer (receiver-side); zero = 20 control RTTs.
-  Time resend_interval{};
-  int max_resends = 100;
-
-  Time effective_resend() const {
-    return resend_interval > Time{} ? resend_interval : control_rtt * 20;
-  }
 };
 
 class HomaHost : public net::Host {
@@ -97,12 +82,6 @@ class HomaHost : public net::Host {
 
   std::uint8_t unsched_priority_for(Bytes size) const;
   std::uint32_t window_packets() const;
-  /// Sender-side pacer: granted packets go out one per MTU-time, so a
-  /// sender granted by many receivers at once (dense TMs) queues grants
-  /// instead of overflowing its own NIC — this is exactly the "sender can
-  /// respond to only one receiver's grant at a time" behaviour the paper
-  /// blames for Homa's slow convergence in Figure 4(a).
-  void sender_pacer_tick();
 
   RxFlow* ensure_rx_flow(std::uint64_t flow_id);
   void handle_data(net::PacketPtr p);
@@ -123,12 +102,16 @@ class HomaHost : public net::Host {
     std::uint32_t seq;
     std::uint8_t priority;
   };
-  std::deque<PendingGrant> grant_queue_;
-  bool sender_pacer_running_ = false;
+  /// Sender-side pacer: granted packets go out one per MTU-time, so a
+  /// sender granted by many receivers at once (dense TMs) queues grants
+  /// instead of overflowing its own NIC — this is exactly the "sender can
+  /// respond to only one receiver's grant at a time" behaviour the paper
+  /// blames for Homa's slow convergence in Figure 4(a).
+  MtuPacer<PendingGrant> grant_queue_;
   std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
   /// Receiver-side flows eligible for scheduling (incomplete, have work).
   std::unordered_set<std::uint64_t> sched_candidates_;
-  /// Currently granted (top `overcommit` by remaining bytes).
+  /// Currently granted (the overcommitted shortest by remaining bytes).
   std::unordered_set<std::uint64_t> active_;
 };
 

@@ -4,9 +4,14 @@
 
 namespace dcpim::proto {
 
+namespace {
+constexpr double kTargetUtilization = 0.95;
+constexpr int kMaxStage = 5;  ///< additive-increase stages per RTT
+}  // namespace
+
 HpccHost::HpccHost(net::Network& net, int host_id, const net::PortConfig& nic,
                    const HpccConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window), cfg_(cfg) {}
+    : WindowHost(net, host_id, nic, cfg.window) {}
 
 void HpccHost::on_flow_init(WFlow& f) {
   f.wc_bytes = f.cwnd_bytes;
@@ -56,10 +61,10 @@ void HpccHost::on_ack_event(WFlow& f, const AckPacket& ack) {
 
   const double wai = static_cast<double>(
       // sa-ok(unit-raw): additive-increase feeds the double-valued window update
-      (cfg_.wai_bytes > Bytes{} ? cfg_.wai_bytes : mss() / 2).raw());
+      (mss() / 2).raw());
   double w;
-  if (u >= cfg_.eta || f.inc_stage >= cfg_.max_stage) {
-    w = f.wc_bytes / std::max(u / cfg_.eta, 1e-3) + wai;
+  if (u >= kTargetUtilization || f.inc_stage >= kMaxStage) {
+    w = f.wc_bytes / std::max(u / kTargetUtilization, 1e-3) + wai;
   } else {
     w = f.wc_bytes + wai;
   }
@@ -70,7 +75,7 @@ void HpccHost::on_ack_event(WFlow& f, const AckPacket& ack) {
   // Reference-window update once per RTT (tracked via acked seq progress).
   if (ack.acked_seq >= f.last_update_seq) {
     f.wc_bytes = f.cwnd_bytes;
-    f.inc_stage = u >= cfg_.eta ? 0 : f.inc_stage + 1;
+    f.inc_stage = u >= kTargetUtilization ? 0 : f.inc_stage + 1;
     f.last_update_seq = f.next_new_seq;
   }
 }

@@ -4,8 +4,9 @@
 // Data packets collect per-hop (qlen, txBytes, rate, ts) records; acks echo
 // them and the sender computes the max per-hop utilization
 //   U_j = qlen_j / (B_j * T)  +  txRate_j / B_j
-// and applies the HPCC window update (multiplicative toward eta, with at
-// most `max_stage` additive-increase stages per RTT). Switch ports run PFC
+// and applies the HPCC window update (multiplicative toward the target
+// utilization 0.95, with at most 5 additive-increase stages per RTT, each
+// adding half an MTU). Switch ports run PFC
 // (PortConfig::pfc_enable) so drops are replaced by pauses — including the
 // head-of-line blocking the paper's Figure 4(a)/(c) exposes.
 #pragma once
@@ -17,9 +18,6 @@ namespace dcpim::proto {
 
 struct HpccConfig {
   WindowConfig window;  ///< set collect_int internally
-  double eta = 0.95;    ///< target utilization
-  int max_stage = 5;    ///< additive-increase stages per RTT
-  Bytes wai_bytes{};  ///< additive increase; zero = mtu/2
 };
 
 class HpccHost : public WindowHost {
@@ -35,7 +33,6 @@ class HpccHost : public WindowHost {
 
  private:
   double utilization_estimate(WFlow& f, const AckPacket& ack) const;
-  const HpccConfig& cfg_;
 };
 
 net::Topology::HostFactory hpcc_host_factory(const HpccConfig& cfg);

@@ -14,11 +14,28 @@ enum NdpKind : int {
   kNdpNack,
   kNdpAck,
 };
+
+constexpr std::uint8_t kDataPriority = 2;
+/// Sender fallback retransmissions per flow before it gives up.
+constexpr int kMaxRtoRetx = 100;
+
+/// Sender fallback timer.
+Time rto_interval(const NdpConfig& cfg) { return cfg.control_rtt * 20; }
 }  // namespace
 
 NdpHost::NdpHost(net::Network& net, int host_id, const net::PortConfig& nic,
                  const NdpConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+    : net::Host(net, host_id, nic),
+      cfg_(cfg),
+      pull_queue_(*this, [this](const std::uint64_t& id) {
+        const net::Flow* flow = network().flow(id);
+        if (flow == nullptr || flow->finished()) return false;
+        auto pull = make_control<net::Packet>(flow->src, kNdpPull);
+        pull->flow_id = id;
+        send(std::move(pull));
+        ++counters_.pulls_sent;
+        return true;
+      }) {}
 
 void NdpHost::on_flow_arrival(net::Flow& flow) {
   TxFlow tx;
@@ -35,8 +52,7 @@ void NdpHost::on_flow_arrival(net::Flow& flow) {
       1, cfg_.bdp_bytes / network().config().mtu_payload));
   const std::uint32_t burst = std::min(ref.packets, window);
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
-    send(make_data_packet(flow,
-                          {.seq = seq, .priority = cfg_.data_priority}));
+    send(make_data_packet(flow, {.seq = seq, .priority = kDataPriority}));
     ++counters_.initial_window_sent;
   }
   ref.next_new_seq = burst;
@@ -57,8 +73,7 @@ void NdpHost::send_one(TxFlow& tx) {
     if (tx.next_new_seq >= tx.packets) return;  // nothing left to release
     seq = tx.next_new_seq++;
   }
-  send(make_data_packet(*tx.flow,
-                        {.seq = seq, .priority = cfg_.data_priority}));
+  send(make_data_packet(*tx.flow, {.seq = seq, .priority = kDataPriority}));
 }
 
 void NdpHost::handle_pull(const net::Packet& p) {
@@ -87,20 +102,20 @@ void NdpHost::handle_ack(const net::Packet& p) {
 }
 
 void NdpHost::arm_rto(std::uint64_t flow_id) {
-  network().sim().schedule_local(cfg_.effective_rto(), [this, flow_id]() {
+  network().sim().schedule_local(rto_interval(cfg_), [this, flow_id]() {
     auto it = tx_flows_.find(flow_id);
     if (it == tx_flows_.end()) return;
     TxFlow& tx = it->second;
-    if (tx.rto_count >= cfg_.max_rto_retx) return;
-    if (network().sim().now() - tx.last_progress >= cfg_.effective_rto()) {
+    if (tx.rto_count >= kMaxRtoRetx) return;
+    if (network().sim().now() - tx.last_progress >= rto_interval(cfg_)) {
       // Total stall: blindly resend the first unacked packet to restart the
       // arrival->pull feedback loop.
       ++tx.rto_count;
       ++counters_.rto_fires;
       for (std::uint32_t seq = 0; seq < tx.packets; ++seq) {
         if (!tx.acked.contains(seq)) {
-          send(make_data_packet(
-              *tx.flow, {.seq = seq, .priority = cfg_.data_priority}));
+          send(make_data_packet(*tx.flow,
+                                {.seq = seq, .priority = kDataPriority}));
           break;
         }
       }
@@ -135,7 +150,7 @@ void NdpHost::handle_data_or_header(net::PacketPtr p) {
     nack->data_seq = seq;
     send(std::move(nack));
     ++counters_.nacks_sent;
-    if (!flow->finished()) enqueue_pull(id, /*urgent=*/true);
+    if (!flow->finished()) pull_queue_.pace_first(id);
     return;
   }
 
@@ -148,46 +163,10 @@ void NdpHost::handle_data_or_header(net::PacketPtr p) {
   if (flow->finished()) {
     rx_flows_.erase(id);
   } else {
-    enqueue_pull(id, /*urgent=*/false);
+    pull_queue_.pace(id);
   }
 }
 
-void NdpHost::enqueue_pull(std::uint64_t flow_id, bool urgent) {
-  if (urgent) {
-    pull_queue_.push_front(flow_id);
-  } else {
-    pull_queue_.push_back(flow_id);
-  }
-  if (!pull_pacer_running_) {
-    pull_pacer_running_ = true;
-    pull_tick();
-  }
-}
-
-void NdpHost::pull_tick() {
-  // Drop pulls for flows that completed in the meantime.
-  while (!pull_queue_.empty()) {
-    const std::uint64_t id = pull_queue_.front();
-    const net::Flow* flow = network().flow(id);
-    if (flow == nullptr || flow->finished()) {
-      pull_queue_.pop_front();
-      continue;
-    }
-    break;
-  }
-  if (pull_queue_.empty()) {
-    pull_pacer_running_ = false;
-    return;
-  }
-  const std::uint64_t id = pull_queue_.front();
-  pull_queue_.pop_front();
-  const net::Flow* flow = network().flow(id);
-  auto pull = make_control<net::Packet>(flow->src, kNdpPull);
-  pull->flow_id = id;
-  send(std::move(pull));
-  ++counters_.pulls_sent;
-  network().sim().schedule_local(mtu_tx_time(), [this]() { pull_tick(); });
-}
 
 // ===== dispatch ==============================================================
 

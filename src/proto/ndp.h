@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <unordered_map>
 
@@ -25,15 +24,7 @@ namespace dcpim::proto {
 
 struct NdpConfig {
   Bytes bdp_bytes{};   ///< initial blind window (topology-derived)
-  Time control_rtt{};  ///< topology-derived
-  std::uint8_t data_priority = 2;
-  /// Sender fallback timer; zero = 20 control RTTs.
-  Time rto{};
-  int max_rto_retx = 100;
-
-  Time effective_rto() const {
-    return rto > Time{} ? rto : control_rtt * 20;
-  }
+  Time control_rtt{};  ///< topology-derived; the sender RTO is 20 of these
 };
 
 class NdpHost : public net::Host {
@@ -81,8 +72,6 @@ class NdpHost : public net::Host {
   void handle_nack(const net::Packet& p);
   void handle_ack(const net::Packet& p);
   void handle_data_or_header(net::PacketPtr p);
-  void enqueue_pull(std::uint64_t flow_id, bool urgent);
-  void pull_tick();
   void arm_rto(std::uint64_t flow_id);
 
   const NdpConfig& cfg_;
@@ -91,8 +80,9 @@ class NdpHost : public net::Host {
   std::unordered_map<std::uint64_t, TxFlow> tx_flows_;
   std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
 
-  std::deque<std::uint64_t> pull_queue_;  ///< flow ids awaiting pulls
-  bool pull_pacer_running_ = false;
+  /// Flow ids awaiting pulls, paced at line rate; pulls for flows that
+  /// completed in the meantime are dropped. Trimmed headers pull first.
+  MtuPacer<std::uint64_t> pull_queue_;
 };
 
 net::Topology::HostFactory ndp_host_factory(const NdpConfig& cfg);

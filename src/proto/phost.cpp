@@ -14,11 +14,29 @@ enum PhostKind : int {
   kPhostRts,
   kPhostToken,
 };
+
+constexpr std::uint8_t kShortPriority = 1;
+constexpr std::uint8_t kLongPriority = 2;
+/// Consecutive expired tokens after which the receiver gives up on a busy
+/// sender and deprioritizes its flow for one token timeout.
+constexpr int kMaxExpiredBeforeDowngrade = 8;
+
+/// Receiver-side expiry of an unused token.
+Time token_expiry(const PhostConfig& cfg) { return cfg.control_rtt * 3; }
 }  // namespace
 
 PhostHost::PhostHost(net::Network& net, int host_id,
                      const net::PortConfig& nic, const PhostConfig& cfg)
-    : net::Host(net, host_id, nic), cfg_(cfg) {}
+    : net::Host(net, host_id, nic),
+      cfg_(cfg),
+      token_queue_(*this, [this](const PendingToken& t) {
+        auto it = tx_flows_.find(t.flow_id);
+        if (it == tx_flows_.end() || it->second.flow->finished()) return false;
+        send(make_data_packet(*it->second.flow,
+                              {.seq = t.seq, .priority = t.priority}));
+        ++counters_.data_sent;
+        return true;
+      }) {}
 
 // ===== sender side ===========================================================
 
@@ -45,8 +63,7 @@ void PhostHost::on_flow_arrival(net::Flow& flow) {
   for (std::uint32_t seq = 0; seq < burst; ++seq) {
     send(make_data_packet(
         flow, {.seq = seq,
-               .priority =
-                   is_short ? cfg_.short_priority : cfg_.long_priority,
+               .priority = is_short ? kShortPriority : kLongPriority,
                .unscheduled = true}));
     ++counters_.free_tokens_spent;
     ++counters_.data_sent;
@@ -59,7 +76,7 @@ void PhostHost::arm_rts_retry(std::uint64_t flow_id, int attempt) {
   // coarse timer until the flow finishes.
   if (attempt >= 50) return;
   network().sim().schedule_local(
-      cfg_.effective_token_timeout() * 4, [this, flow_id, attempt]() {
+      token_expiry(cfg_) * 4, [this, flow_id, attempt]() {
         auto it = tx_flows_.find(flow_id);
         if (it == tx_flows_.end() || it->second.flow->finished()) return;
         auto rts = make_control<SizedNotifyPacket>(it->second.flow->dst,
@@ -78,31 +95,8 @@ void PhostHost::handle_token(const net::Packet& p) {
   if (it == tx_flows_.end()) return;
   TxFlow& tx = it->second;
   if (tx.flow->finished() || tok.data_seq >= tx.packets) return;
-  token_queue_.push_back(
+  token_queue_.pace(
       PendingToken{p.flow_id, tok.data_seq, tok.data_priority});
-  if (!sender_pacer_running_) {
-    sender_pacer_running_ = true;
-    sender_pacer_tick();
-  }
-}
-
-void PhostHost::sender_pacer_tick() {
-  while (!token_queue_.empty()) {
-    const PendingToken t = token_queue_.front();
-    auto it = tx_flows_.find(t.flow_id);
-    if (it == tx_flows_.end() || it->second.flow->finished()) {
-      token_queue_.pop_front();
-      continue;
-    }
-    token_queue_.pop_front();
-    send(make_data_packet(*it->second.flow,
-                          {.seq = t.seq, .priority = t.priority}));
-    ++counters_.data_sent;
-    network().sim().schedule_local(mtu_tx_time(),
-                                   [this]() { sender_pacer_tick(); });
-    return;
-  }
-  sender_pacer_running_ = false;
 }
 
 // ===== receiver side =========================================================
@@ -123,8 +117,8 @@ PhostHost::RxFlow* PhostHost::ensure_rx(std::uint64_t flow_id) {
   rx.next_new_seq = rx.free_packets;
   rx.created_at = network().sim().now();
   it = rx_flows_.emplace(flow_id, std::move(rx)).first;
-  if (!pacer_running_) {
-    pacer_running_ = true;
+  if (!receiver_ticking_) {
+    receiver_ticking_ = true;
     receiver_tick();
   }
   return &it->second;
@@ -150,7 +144,7 @@ void PhostHost::expire_stale(RxFlow& rx) {
   // Unscheduled (free-token) packets that never arrived are re-granted like
   // any other loss once the initial burst has clearly landed or died.
   if (!rx.free_burst_checked &&
-      now - rx.created_at > cfg_.effective_token_timeout()) {
+      now - rx.created_at > token_expiry(cfg_)) {
     rx.free_burst_checked = true;
     const net::FlowRxState* st = find_rx_state(rx.flow->id);
     for (std::uint32_t seq = 0; seq < rx.free_packets; ++seq) {
@@ -164,7 +158,7 @@ void PhostHost::expire_stale(RxFlow& rx) {
   // sa-ok(determinism): harvest feeds keyed erases, an ordered std::set
   // insert, and commutative counter bumps — visit-order independent.
   for (const auto& [seq, at] : rx.outstanding) {
-    if (now - at > cfg_.effective_token_timeout()) stale.push_back(seq);
+    if (now - at > token_expiry(cfg_)) stale.push_back(seq);
   }
   for (std::uint32_t seq : stale) {
     rx.outstanding.erase(seq);
@@ -172,9 +166,9 @@ void PhostHost::expire_stale(RxFlow& rx) {
     ++counters_.tokens_expired;
     ++rx.consecutive_expired;
   }
-  if (rx.consecutive_expired >= cfg_.max_expired_before_downgrade) {
+  if (rx.consecutive_expired >= kMaxExpiredBeforeDowngrade) {
     // The sender is busy elsewhere: deprioritize so other flows progress.
-    rx.downgraded_until = now + cfg_.effective_token_timeout();
+    rx.downgraded_until = now + token_expiry(cfg_);
     rx.consecutive_expired = 0;
     ++counters_.downgrades;
   }
@@ -216,7 +210,7 @@ PhostHost::RxFlow* PhostHost::pick_flow() {
 
 void PhostHost::receiver_tick() {
   if (rx_flows_.empty()) {
-    pacer_running_ = false;
+    receiver_ticking_ = false;
     return;
   }
   RxFlow* rx = pick_flow();
@@ -232,9 +226,8 @@ void PhostHost::receiver_tick() {
     auto tok = make_control<GrantTokenPacket>(rx->flow->src, kPhostToken);
     tok->flow_id = rx->flow->id;
     tok->data_seq = seq;
-    tok->data_priority = rx->flow->size <= cfg_.bdp_bytes
-                             ? cfg_.short_priority
-                             : cfg_.long_priority;
+    tok->data_priority =
+        rx->flow->size <= cfg_.bdp_bytes ? kShortPriority : kLongPriority;
     send(std::move(tok));
     ++counters_.tokens_sent;
   }

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <set>
 #include <unordered_map>
 
@@ -28,18 +27,7 @@ namespace dcpim::proto {
 
 struct PhostConfig {
   Bytes bdp_bytes{};   ///< free-token allowance & per-flow window
-  Time control_rtt{};
-  std::uint8_t short_priority = 1;
-  std::uint8_t long_priority = 2;
-  /// Token unused-expiry at the receiver; zero = 3 control RTTs.
-  Time token_timeout{};
-  /// Receiver gives up on a sender after this many consecutive expired
-  /// tokens and deprioritizes the flow for one timeout period.
-  int max_expired_before_downgrade = 8;
-
-  Time effective_token_timeout() const {
-    return token_timeout > Time{} ? token_timeout : control_rtt * 3;
-  }
+  Time control_rtt{};  ///< receiver token expiry is 3 control RTTs
 };
 
 class PhostHost : public net::Host {
@@ -89,9 +77,6 @@ class PhostHost : public net::Host {
 
   RxFlow* ensure_rx(std::uint64_t flow_id);
   void arm_rts_retry(std::uint64_t flow_id, int attempt);
-  /// pHost senders transmit at most one packet per MTU-time; tokens beyond
-  /// that queue here and may expire at the receiver (its downgrade signal).
-  void sender_pacer_tick();
   void handle_data(net::PacketPtr p);
   void handle_token(const net::Packet& p);
   void receiver_tick();
@@ -107,10 +92,11 @@ class PhostHost : public net::Host {
     std::uint32_t seq;
     std::uint8_t priority;
   };
-  std::deque<PendingToken> token_queue_;
-  bool sender_pacer_running_ = false;
+  /// pHost senders transmit at most one packet per MTU-time; tokens beyond
+  /// that queue here and may expire at the receiver (its downgrade signal).
+  MtuPacer<PendingToken> token_queue_;
   std::unordered_map<std::uint64_t, RxFlow> rx_flows_;
-  bool pacer_running_ = false;
+  bool receiver_ticking_ = false;  ///< receiver_tick is scheduled
 };
 
 net::Topology::HostFactory phost_host_factory(const PhostConfig& cfg);

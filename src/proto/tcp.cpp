@@ -6,7 +6,7 @@ namespace dcpim::proto {
 
 TcpHost::TcpHost(net::Network& net, int host_id, const net::PortConfig& nic,
                  const TcpConfig& cfg)
-    : WindowHost(net, host_id, nic, cfg.window), cfg_(cfg) {}
+    : WindowHost(net, host_id, nic, cfg.window) {}
 
 void TcpHost::on_ack_event(WFlow& f, const AckPacket& /*ack*/) {
   // sa-ok(unit-raw): the congestion window evolves multiplicatively, in doubles

@@ -22,9 +22,6 @@ class TcpHost : public WindowHost {
   void on_ack_event(WFlow& f, const AckPacket& ack) override;
   void on_fast_retransmit(WFlow& f) override;
   void on_timeout(WFlow& f) override;
-
- private:
-  const TcpConfig& cfg_;
 };
 
 net::Topology::HostFactory tcp_host_factory(const TcpConfig& cfg);

@@ -11,6 +11,13 @@ enum WindowKind : int {
   kWinData = 0,
   kWinAck,
 };
+
+constexpr std::uint8_t kDataPriority = 2;
+/// Duplicate acks that trigger a fast retransmit.
+constexpr int kDupackThreshold = 3;
+
+/// Lower bound of the retransmission timeout, and the RTO check period.
+Time rto_floor(const WindowConfig& cfg) { return cfg.base_rtt * 20; }
 }  // namespace
 
 WindowHost::WindowHost(net::Network& net, int host_id,
@@ -34,8 +41,7 @@ void WindowHost::on_flow_arrival(net::Flow& flow) {
 }
 
 Time WindowHost::rto(const WFlow& f) const {
-  const Time base = cfg_.effective_min_rto();
-  return std::max(base, f.srtt * 3);
+  return std::max(rto_floor(cfg_), f.srtt * 3);
 }
 
 void WindowHost::try_send(WFlow& f) {
@@ -59,8 +65,7 @@ void WindowHost::try_send(WFlow& f) {
       if (f.next_new_seq >= f.packets) return;
       seq = f.next_new_seq++;
     }
-    auto p = make_data_packet(*f.flow,
-                              {.seq = seq, .priority = cfg_.data_priority});
+    auto p = make_data_packet(*f.flow, {.seq = seq, .priority = kDataPriority});
     p->collect_int = cfg_.collect_int;
     send(std::move(p));
     f.inflight[seq] = network().sim().now();
@@ -69,7 +74,7 @@ void WindowHost::try_send(WFlow& f) {
 }
 
 void WindowHost::arm_rto(std::uint64_t flow_id) {
-  network().sim().schedule_local(cfg_.effective_min_rto(), [this, flow_id]() {
+  network().sim().schedule_local(rto_floor(cfg_), [this, flow_id]() {
     auto it = flows_.find(flow_id);
     if (it == flows_.end()) return;
     WFlow& f = it->second;
@@ -138,7 +143,7 @@ void WindowHost::handle_ack(net::PacketPtr p) {
     f.fast_retx_seq = UINT32_MAX;
   } else if (ack.acked_seq > f.cum_ack) {
     ++f.dupacks;
-    if (f.dupacks >= cfg_.dupack_threshold &&
+    if (f.dupacks >= kDupackThreshold &&
         f.fast_retx_seq != f.cum_ack && !f.acked.contains(f.cum_ack)) {
       f.fast_retx_seq = f.cum_ack;
       f.retx.insert(f.cum_ack);

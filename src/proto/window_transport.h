@@ -21,15 +21,9 @@ namespace dcpim::proto {
 struct WindowConfig {
   Bytes init_cwnd{};   ///< initial window; zero = 1 BDP
   Bytes bdp_bytes{};   ///< topology-derived
-  Time base_rtt{};     ///< topology-derived unloaded data RTT
-  Time min_rto{};      ///< zero = 20x base_rtt
-  std::uint8_t data_priority = 2;
+  Time base_rtt{};     ///< topology-derived; the RTO floor is 20 of these
   bool collect_int = false;  ///< HPCC: gather per-hop telemetry
-  int dupack_threshold = 3;
 
-  Time effective_min_rto() const {
-    return min_rto > Time{} ? min_rto : base_rtt * 20;
-  }
   Bytes effective_init_cwnd() const {
     return init_cwnd > Bytes{} ? init_cwnd : bdp_bytes;
   }

@@ -102,7 +102,6 @@ class Auditor {
   /// on each tick; callers invoke it directly for a final end-of-run pass).
   void sweep(TimePoint now);
 
-  std::size_t num_probes() const { return probes_.size(); }
   std::uint64_t violations_total() const { return violations_total_; }
   const std::vector<AuditViolation>& violations() const { return violations_; }
 

@@ -36,18 +36,13 @@ class PoissonGenerator {
   /// Begins scheduling arrivals.
   void start();
 
-  std::uint64_t flows_created() const { return flows_created_; }
-
-  /// Mean inter-arrival time per sender for the configured load.
-  Time mean_interarrival() const { return mean_interarrival_; }
-
  private:
   void schedule_next(std::size_t sender_idx);
   void arrival(std::size_t sender_idx);
 
   net::Network& net_;
   PoissonPatternConfig cfg_;
-  Time mean_interarrival_{};
+  Time mean_interarrival_{};  ///< per sender, for the configured load
   std::uint64_t flows_created_ = 0;
 };
 

@@ -96,6 +96,10 @@ class BenchCli(unittest.TestCase):
                  if "/nonexistent/dir/" in ln]
         self.assertEqual(len(named), 1, proc.stderr)
         self.assertIn("cannot write CSV", named[0])
+        # Refused before the first cell: no header or rows on stdout, no
+        # sweep progress on stderr.
+        self.assertEqual(proc.stdout, "")
+        self.assertNotRegex(proc.stderr, r"\[\d+/\d+\]")
 
     def test_binaries_without_configs_refuse_faults(self):
         for binary in ("related_fastpass", "theorem1_matching"):

@@ -93,6 +93,10 @@ class CampaignDiff(unittest.TestCase):
         self.assertNotEqual(proc.returncode, 0, proc.stderr)
         self.assertIn(f"cannot write merged CSV {missing}/smoke.csv",
                       proc.stderr)
+        # Refused before the first cell: no cell lines or summary rows on
+        # stdout, no sweep progress on stderr.
+        self.assertEqual(proc.stdout, "")
+        self.assertNotRegex(proc.stderr, r"\[\d+/\d+\]")
 
     def test_journal_annotation(self):
         # Fabricate a journal holding exactly one of the smoke cells: take

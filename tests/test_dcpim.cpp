@@ -272,9 +272,6 @@ TEST(DcpimTest, ConfigDefaultsFollowPaper) {
   EXPECT_NEAR(cfg.beta, 1.3, 1e-9);
   EXPECT_TRUE(cfg.fct_optimizing_first_round);
   EXPECT_TRUE(cfg.pipeline_phases);
-  cfg.bdp_bytes = Bytes{70'000};
-  EXPECT_EQ(cfg.effective_short_threshold(), Bytes{70'000});  // 1 BDP default
-  EXPECT_EQ(cfg.effective_token_window(), Bytes{70'000});
 }
 
 }  // namespace

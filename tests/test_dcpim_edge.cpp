@@ -44,8 +44,8 @@ TEST(DcpimEdgeTest, OneByteFlow) {
 
 TEST(DcpimEdgeTest, FlowExactlyAtShortThreshold) {
   Fixture f;
-  // size == threshold is still "short" (<=, §3.5).
-  net::Flow* flow = f.net->create_flow(0, 7, f.cfg.effective_short_threshold(), TimePoint{});
+  // size == threshold (1 BDP) is still "short" (<=, §3.5).
+  net::Flow* flow = f.net->create_flow(0, 7, f.cfg.bdp_bytes, TimePoint{});
   f.net->sim().run(TimePoint(ms(2)));
   ASSERT_TRUE(flow->finished());
   EXPECT_GT(f.host(0)->counters().short_data_sent, 0u);
@@ -55,8 +55,7 @@ TEST(DcpimEdgeTest, FlowExactlyAtShortThreshold) {
 TEST(DcpimEdgeTest, FlowOneByteOverThresholdIsMatched) {
   Fixture f;
   net::Flow* flow =
-      f.net->create_flow(0, 7, f.cfg.effective_short_threshold() + Bytes{1},
-                         TimePoint{});
+      f.net->create_flow(0, 7, f.cfg.bdp_bytes + Bytes{1}, TimePoint{});
   f.net->sim().run(TimePoint(ms(3)));
   ASSERT_TRUE(flow->finished());
   EXPECT_EQ(f.host(0)->counters().short_data_sent, 0u);

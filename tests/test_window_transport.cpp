@@ -7,7 +7,6 @@
 
 #include "net/topology.h"
 #include "proto/dctcp.h"
-#include "proto/homa.h"
 #include "proto/hpcc.h"
 #include "proto/tcp.h"
 
@@ -119,20 +118,6 @@ TEST(WindowTransportTest, HpccKeepsQueuesShorterThanTcpUnderIncast) {
     return drops;
   };
   EXPECT_LE(run(true), run(false));  // PFC+INT: no drops; TCP: maybe many
-}
-
-TEST(WindowTransportTest, HomaCustomUnschedCutoffs) {
-  // Config-level contract for the priority ladder.
-  HomaConfig cfg;
-  cfg.bdp_bytes = Bytes{80'000};
-  cfg.unsched_cutoffs = {Bytes{1'000}, Bytes{10'000}, Bytes{100'000}};
-  // The ladder is exercised through HomaHost::unsched_priority_for; here we
-  // assert the configuration invariants the host relies on.
-  for (std::size_t i = 1; i < cfg.unsched_cutoffs.size(); ++i) {
-    EXPECT_LT(cfg.unsched_cutoffs[i - 1], cfg.unsched_cutoffs[i]);
-  }
-  EXPECT_LT(static_cast<int>(cfg.unsched_cutoffs.size()) + 1,
-            net::kNumPriorities);
 }
 
 }  // namespace
