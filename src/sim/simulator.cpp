@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/check.h"
 #include "util/logging.h"
@@ -9,102 +10,162 @@ namespace dcpim::sim {
 
 namespace {
 
+/// The one place this file turns a TimePoint into a bare integer: the
+/// radix queue's keys and check.h's failure-time hook both need it.
+std::int64_t picoseconds(TimePoint t) {
+  // sa-ok(unit-raw): queue keys and check.h's hook are unit-agnostic by design
+  return t.raw();
+}
+
+/// Event time <-> radix-queue key (times are non-negative, so the order of
+/// keys is the order of times).
+std::uint64_t key_of(TimePoint t) {
+  return static_cast<std::uint64_t>(picoseconds(t));
+}
+TimePoint time_of(std::uint64_t key) {
+  return TimePoint{static_cast<std::int64_t>(key)};
+}
+
 /// Adapter so DCPIM_CHECK failures anywhere in the stack can report the
 /// simulated time at which the invariant broke (see util/check.h).
 std::int64_t sim_now_for_checks(const void* ctx) {
-  // sa-ok(unit-raw): check.h's failure-message hook is unit-agnostic by design
-  return static_cast<const Simulator*>(ctx)->now().raw();
+  return picoseconds(static_cast<const Simulator*>(ctx)->now());
 }
 
 }  // namespace
 
-namespace {
+int Simulator::bucket_of(std::uint64_t key) const {
+  return static_cast<int>(std::bit_width(key ^ base_));
+}
 
-/// Heap arity. 4-ary halves the tree depth of a binary heap and keeps all
-/// children of a node inside one or two cache lines of 24-byte entries —
-/// the sift-down in heap_pop() was the single hottest function in the
-/// profile when this was binary. The pop order is arity-independent:
-/// Entry::before is a strict total order (ids are unique tie-breakers), so
-/// the simulation replays identically for any heap shape — the perf
-/// basket's fingerprint check proves it.
-constexpr std::size_t kHeapArity = 4;
+Simulator::Block* Simulator::grow_pool() {
+  // sa-ok(hot-alloc): the block pool grows only until it covers the peak
+  // pending count (one block per 64 events plus a partial one per bucket);
+  // every drained block returns to the free list, so steady-state pushes
+  // and refills never reach this line.
+  // sa-ok(hot-cost): this is the queue's only storage growth, not a sift —
+  // pushes and pops themselves are O(1) amortized (see simulator.h).
+  blocks_.push_back(std::make_unique<Block>());
+  return blocks_.back().get();
+}
 
-}  // namespace
+Simulator::Block* Simulator::take_block() {
+  if (free_blocks_ == nullptr) return grow_pool();
+  Block* block = free_blocks_;
+  free_blocks_ = block->next;
+  block->next = nullptr;
+  return block;
+}
 
-void Simulator::heap_push(Entry e) {
-  // sa-ok(hot-alloc): vector growth is amortized and the heap reaches its
-  // steady-state capacity within the first few simulated RTTs.
-  // sa-ok(hot-cost): the d-ary-heap push IS the event queue — O(log n) is
-  // its contract (see the rationale comment in simulator.h).
-  heap_.push_back(e);  // placeholder; the hole-sift below places `e`
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / kHeapArity;
-    if (!e.before(heap_[parent])) break;
-    heap_[i] = heap_[parent];  // hole sift: one move per level, no swaps
-    i = parent;
+void Simulator::release_block(Block* block) {
+  block->next = free_blocks_;
+  free_blocks_ = block;
+}
+
+void Simulator::append(int bucket, std::uint64_t key, std::uint32_t slot) {
+  Bucket& b = buckets_[bucket];
+  if (b.head == nullptr) {
+    b.head = b.tail = take_block();
+    b.head_pos = b.tail_pos = 0;
+    nonempty_ |= std::uint64_t{1} << bucket;
+  } else if (b.tail_pos == Block::kEntries) {
+    Block* block = take_block();
+    b.tail->next = block;
+    b.tail = block;
+    b.tail_pos = 0;
   }
-  heap_[i] = e;
+  b.tail->keys[b.tail_pos] = key;
+  b.tail->slots[b.tail_pos] = slot;
+  ++b.tail_pos;
 }
 
-Simulator::Entry Simulator::heap_pop() {
-  const Entry top = heap_.front();
-  const Entry last = heap_.back();
-  // sa-ok(hot-cost): the sift-down after this pop is the event-queue
-  // contract; the pop itself never shrinks capacity.
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n == 0) return top;
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t first = kHeapArity * i + 1;
-    if (first >= n) break;
-    const std::size_t end = std::min(first + kHeapArity, n);
-    std::size_t smallest = first;
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (heap_[c].before(heap_[smallest])) smallest = c;
+bool Simulator::ready(TimePoint until) {
+  if ((nonempty_ & 1) != 0) {
+    return time_of(base_) <= until;
+  }
+  if (nonempty_ == 0) return false;
+  const int lowest = std::countr_zero(nonempty_);
+  Bucket src = buckets_[lowest];
+  // Peek: find the bucket's earliest time without moving the base, so an
+  // event past `until` leaves the queue exactly as it was.
+  std::uint64_t min_key = UINT64_MAX;
+  for (const Block* block = src.head; block != nullptr; block = block->next) {
+    const std::uint32_t end =
+        block == src.tail ? src.tail_pos : Block::kEntries;
+    for (std::uint32_t i = 0; i < end; ++i) {
+      min_key = std::min(min_key, block->keys[i]);
     }
-    if (!heap_[smallest].before(last)) break;
-    heap_[i] = heap_[smallest];  // hole sift: one move per level
-    i = smallest;
   }
-  heap_[i] = last;
-  return top;
+  if (time_of(min_key) > until) return false;
+  // Refill: every entry of `lowest` moves to a strictly lower bucket, in
+  // order, so each bucket stays a FIFO in scheduling order.
+  base_ = min_key;
+  buckets_[lowest] = Bucket{};
+  nonempty_ &= ~(std::uint64_t{1} << lowest);
+  for (Block* block = src.head; block != nullptr;) {
+    const std::uint32_t end =
+        block == src.tail ? src.tail_pos : Block::kEntries;
+    for (std::uint32_t i = 0; i < end; ++i) {
+      append(bucket_of(block->keys[i]), block->keys[i], block->slots[i]);
+    }
+    Block* next = block->next;
+    release_block(block);
+    block = next;
+  }
+  return true;
+}
+
+std::uint32_t Simulator::pop_tie() {
+  Bucket& b = buckets_[0];
+  const std::uint32_t slot = b.head->slots[b.head_pos++];
+  if (b.head == b.tail && b.head_pos == b.tail_pos) {
+    release_block(b.head);
+    b = Bucket{};
+    nonempty_ &= ~std::uint64_t{1};
+  } else if (b.head_pos == Block::kEntries) {
+    Block* next = b.head->next;
+    release_block(b.head);
+    b.head = next;
+    b.head_pos = 0;
+  }
+  --pending_;
+  return slot;
 }
 
 void Simulator::schedule_at(TimePoint t, Callback cb) {
   DCPIM_DCHECK_GE(t, now_, "cannot schedule into the past");
   if (t < now_) t = now_;  // degrade gracefully in release builds
-  heap_push(Entry{t, next_id_++, slab_.store(std::move(cb))});
+  const std::uint64_t key = key_of(t);
+  // Monotone keys are the radix queue's whole correctness argument: a key
+  // below the base would land in a bucket that pops after later events.
+  DCPIM_DCHECK_GE(key, base_, "event key below the radix queue's base");
+  append(bucket_of(key), key, slab_.store(std::move(cb)));
+  ++pending_;
 }
 
 // sa-hot: the event loop proper — every simulated event passes through.
 void Simulator::run(TimePoint until) {
   check_detail::ScopedSimTimeSource time_source(this, &sim_now_for_checks);
   stopped_ = false;
-  while (!stopped_ && !heap_.empty()) {
-    const Entry entry = heap_pop();
-    if (entry.t > until) {
-      // Put it back; caller may resume later (its slab slot is untouched).
-      heap_push(entry);
-      now_ = until;
-      return;
-    }
+  while (!stopped_ && ready(until)) {
+    const TimePoint t = time_of(base_);
     // Event-time monotonicity: a pop that travels backwards in time means
-    // the heap ordering (or a callback that mutated an entry) is corrupt —
-    // every downstream latency/FCT number would be garbage.
-    DCPIM_CHECK_GE(entry.t, now_, "event queue is not time-ordered");
-    now_ = entry.t;
+    // the queue ordering is corrupt — every downstream latency/FCT number
+    // would be garbage.
+    DCPIM_CHECK_GE(t, now_, "event queue is not time-ordered");
+    now_ = t;
     ++executed_;
     // slab_.take() recycles the slab slot *before* invoking, so an event
     // that schedules follow-ups (the common per-hop case) re-uses the very
     // slot it just vacated. `cb` is destroyed at the end of this
     // iteration — captured resources, above all pooled PacketPtrs, return
     // to their owners at end-of-event, never lingering until the next pop.
-    Callback cb = slab_.take(entry.slot);
+    Callback cb = slab_.take(pop_tie());
     cb();
   }
-  if (!stopped_ && until != kTimePointInfinity) now_ = until;
+  // Drained, or the next event is past `until`: the clock advances to
+  // `until`, never backwards (now() >= base_ keeps every later push legal).
+  if (!stopped_ && until != kTimePointInfinity && until > now_) now_ = until;
 }
 
 // sa-hot: bounded-step variant of the event loop.
@@ -112,13 +173,13 @@ std::size_t Simulator::run_steps(std::size_t max_events) {
   check_detail::ScopedSimTimeSource time_source(this, &sim_now_for_checks);
   stopped_ = false;
   std::size_t done = 0;
-  while (!stopped_ && done < max_events && !heap_.empty()) {
-    const Entry entry = heap_pop();
-    DCPIM_CHECK_GE(entry.t, now_, "event queue is not time-ordered");
-    now_ = entry.t;
+  while (!stopped_ && done < max_events && ready(kTimePointInfinity)) {
+    const TimePoint t = time_of(base_);
+    DCPIM_CHECK_GE(t, now_, "event queue is not time-ordered");
+    now_ = t;
     ++executed_;
     ++done;
-    Callback cb = slab_.take(entry.slot);  // eager recycle, as in run()
+    Callback cb = slab_.take(pop_tie());  // eager recycle, as in run()
     cb();
   }
   return done;

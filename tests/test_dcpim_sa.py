@@ -81,6 +81,12 @@ GOLDEN = {
     ("pdes", "fixture_pdes.cpp", 44),   # conduit call under schedule_local
     ("pdes", "fixture_pdes.cpp", 46),   # mutable-accessor escape
     ("pdes", "fixture_pdes.cpp", 61),   # Lookahead minted off the seam
+    # call resolution by receiver type (fixture_receiver.cpp): std growth
+    # fires; RecvLedger::push_back, RecvAuditor::tick and the project
+    # append()/insert() calls must not
+    ("hot-alloc", "fixture_receiver.cpp", 54),  # std::vector push_back
+    ("hot-alloc", "fixture_receiver.cpp", 58),  # push_back via accessor
+    ("hot-alloc", "fixture_receiver.cpp", 63),  # growth inside append()
 }
 
 
@@ -313,7 +319,7 @@ class SourceTreeTest(unittest.TestCase):
         self.assertGreater(report["files"], 50)
         self.assertGreater(report["functions"], 300)
 
-    def test_src_hot_cost_report_ranks_ten_sites(self):
+    def test_src_hot_cost_report_is_a_ranked_worklist(self):
         compdb = REPO / "build" / "compile_commands.json"
         if not compdb.exists():
             self.skipTest("no compile_commands.json (configure first)")
@@ -323,13 +329,24 @@ class SourceTreeTest(unittest.TestCase):
                           "--hot-cost-json", str(cost_path))
             cost = json.loads(cost_path.read_text())
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
-        # The speed-program worklist: at least ten concrete, ranked sites
-        # on the real tree, each anchored to a file/line/function.
-        self.assertGreaterEqual(cost["total_sites"], 10)
-        for s in cost["sites"]:
+        # The speed-program worklist: concrete, ranked sites on the real
+        # tree, each anchored to a file/line/function. It shrinks as costs
+        # are removed, so it is pinned by the standing costs it must keep
+        # naming, not by a site count: the event queue's storage growth,
+        # the schedule calls of the per-hop transmit path, and the
+        # Device::receive virtual seam.
+        sites = cost["sites"]
+        for s in sites:
             self.assertTrue(s["file"].startswith("src/"))
             self.assertGreater(s["line"], 0)
             self.assertTrue(s["function"])
+        named = {(s["category"], s["file"], s["function"]) for s in sites}
+        self.assertIn(("heap-op", "src/sim/simulator.cpp",
+                       "Simulator::grow_pool"), named)
+        self.assertIn(("heap-op", "src/net/device.cpp",
+                       "Port::try_transmit"), named)
+        self.assertIn(("virtual-dispatch", "src/net/device.cpp",
+                       "Port::try_transmit"), named)
 
     def test_src_lifetime_ledger_has_only_justified_sites(self):
         compdb = REPO / "build" / "compile_commands.json"

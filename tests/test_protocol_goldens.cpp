@@ -5,11 +5,13 @@
 //
 // The constants pin behaviour, not quality: a refactor that claims to be
 // bit-identical (config sentinels folded into constants, shared pacing
-// helpers, compiler-flag changes) must leave all eighteen untouched. A
-// deliberate behaviour change updates them in the same commit and says why.
+// helpers, compiler-flag changes) must leave all eighteen untouched, and the
+// two 144-host perf-basket pins at the end. A deliberate behaviour change
+// updates them in the same commit and says why.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -88,6 +90,38 @@ TEST(ProtocolGoldensTest, EveryProtocolMatchesItsRecordedFingerprint) {
     EXPECT_EQ(clean, g.clean) << std::hex << "clean: 0x" << clean;
     EXPECT_EQ(gray, g.gray) << std::hex << "gray: 0x" << gray;
   }
+}
+
+// perf_basket.campaign's HomaAeolus and HPCC cells (144 hosts, IMC10 at
+// load 0.6) must hash to their BENCH_7.json fingerprints. The basket's
+// dcPIM and NDP cells are pinned by perfbench/test_run.py, and
+// tools/record_bench.py --compare checks all four against the committed
+// record.
+TEST(BasketGoldensTest, HomaAeolusAndHpccMatchBench7) {
+  if (std::getenv("DCPIM_BENCH_SCALE") != nullptr) {
+    GTEST_SKIP() << "DCPIM_BENCH_SCALE stretches the basket's horizons";
+  }
+  const std::string path =
+      std::string(DCPIM_CAMPAIGN_SPEC_DIR) + "/perf_basket.campaign";
+  const campaign::CampaignSpec spec =
+      campaign::parse_campaign_spec(read_file(path), path);
+  int checked = 0;
+  for (const campaign::Cell& cell : campaign::expand(spec)) {
+    std::uint64_t expected = 0;
+    if (cell.config.protocol == Protocol::HomaAeolus) {
+      expected = 0xe02304ae1dc9f844;
+    } else if (cell.config.protocol == Protocol::Hpcc) {
+      expected = 0x57dfab81a313cd42;
+    } else {
+      continue;
+    }
+    SCOPED_TRACE(harness::to_string(cell.config.protocol));
+    const std::uint64_t got = campaign::fnv1a(
+        harness::result_fingerprint(harness::run_experiment(cell.config)));
+    EXPECT_EQ(got, expected) << std::hex << "0x" << got;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 2);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 Pins the zero-record contract: a BENCH record with no scenario rows must
 make --compare (and record shaping) fail loudly instead of iterating an
 empty list and "passing" without checking anything — the regression this
-suite exists to prevent.
+suite exists to prevent. Also pins the fingerprint gate: --compare fails
+on a changed or missing scenario fingerprint unless
+--accept-fingerprint-change is passed.
 """
 
 from __future__ import annotations
@@ -56,7 +58,9 @@ def record(scenarios: list[dict], eps: float = 1000.0) -> dict:
     }
 
 
-class CompareZeroRecords(unittest.TestCase):
+class HermeticCompare(unittest.TestCase):
+    """Runs compare() against records in a temp dir."""
+
     def setUp(self):
         self.tmp = tempfile.TemporaryDirectory()
         self.dir = Path(self.tmp.name)
@@ -75,6 +79,8 @@ class CompareZeroRecords(unittest.TestCase):
         path.write_text(json.dumps(rec))
         return path
 
+
+class CompareZeroRecords(HermeticCompare):
     def test_empty_current_record_fails(self):
         baseline = self.write_baseline(record([scenario("dcPIM")]))
         with self.assertRaises(SystemExit) as ctx:
@@ -120,6 +126,57 @@ class CompareZeroRecords(unittest.TestCase):
             rb.compare(record([scenario("dcPIM", fp="bb")], eps=1000),
                        baseline, 0.8, self.out)
         self.assertIn("fingerprint changed", out.getvalue())
+
+
+class CompareFingerprints(HermeticCompare):
+    """--compare is a bit-identity gate: a changed or missing fingerprint
+    fails it, however fast the run, unless the change is accepted."""
+
+    def compare(self, current: dict, **kwargs):
+        baseline = self.write_baseline(record(
+            [scenario("dcPIM", fp="aa"), scenario("HPCC", fp="cc")],
+            eps=1000))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            status = rb.compare(current, baseline, 0.8, self.out, **kwargs)
+        return status, out.getvalue()
+
+    def test_changed_fingerprint_fails(self):
+        status, out = self.compare(record(
+            [scenario("dcPIM", fp="aa"), scenario("HPCC", fp="dd")],
+            eps=2000))
+        self.assertEqual(status, 1)
+        self.assertIn("FAIL: HPCC fingerprint changed cc -> dd", out)
+        self.assertIn("--accept-fingerprint-change", out)
+        self.assertNotIn("dcPIM fingerprint", out)
+
+    def test_missing_scenario_fails(self):
+        status, out = self.compare(record(
+            [scenario("dcPIM", fp="aa")], eps=2000))
+        self.assertEqual(status, 1)
+        self.assertIn("FAIL: HPCC fingerprint changed cc -> <missing>", out)
+
+    def test_accepted_change_passes_with_a_note(self):
+        status, out = self.compare(record(
+            [scenario("dcPIM", fp="aa"), scenario("HPCC", fp="dd")],
+            eps=2000), accept_fingerprint_change=True)
+        self.assertEqual(status, 0)
+        self.assertIn("note: HPCC fingerprint changed cc -> dd, accepted", out)
+        self.assertNotIn("FAIL", out)
+
+    def test_accepting_does_not_waive_the_perf_bar(self):
+        status, out = self.compare(record(
+            [scenario("dcPIM", fp="aa"), scenario("HPCC", fp="dd")],
+            eps=100), accept_fingerprint_change=True)
+        self.assertEqual(status, 1)
+        self.assertIn("FAIL: slowdown", out)
+
+    def test_identical_fingerprints_pass(self):
+        status, out = self.compare(record(
+            [scenario("dcPIM", fp="aa"), scenario("HPCC", fp="cc")],
+            eps=1000))
+        self.assertEqual(status, 0)
+        self.assertNotIn("fingerprint", out)
 
 
 class ShapeZeroRecords(unittest.TestCase):

@@ -40,6 +40,15 @@ and checks the semantic properties the ROADMAP's correctness story rests on:
                   (default src/net/ and src/sim/): the virtual dispatch into
                   protocol handlers is the contract boundary — protocols
                   manufacture control packets by design.
+                  Calls resolve by the receiver's declared type: a member
+                  call on a std container (or a std::-qualified call) is a
+                  library call that may allocate but never enters project
+                  code, however a project member is named; a bare, this->
+                  or project-typed call runs only that class family's
+                  methods (bases and overrides) and is never itself charged
+                  as a std allocation, even when named `append`. Receivers
+                  the text frontend cannot type fall back to the simple
+                  name, and an ALLOC_CALLS name then counts as growth.
 
   unit-raw        every `.raw()` escape from a strong unit type needs an
                   sa-ok(unit-raw) justification (successor of lint_dcpim's
@@ -63,7 +72,7 @@ and checks the semantic properties the ROADMAP's correctness story rests on:
                   paths reachable from `// sa-hot` roots must not silently
                   pay: heavy pass-by-value copies (string/vector/map/
                   function parameters), virtual dispatch, ordered std::map/
-                  std::set lookups, or event-queue heap operations
+                  std::set lookups, or event-queue operations
                   (schedule_at/schedule_after calls and pushes/pops on the
                   scheduling class's queue storage, recognized by type and
                   by the schedule API — not by function name). Every site
@@ -168,6 +177,17 @@ ALLOC_CALLS = {
     "make_unique", "make_shared", "push_back", "emplace_back", "push_front",
     "emplace_front", "emplace", "insert", "resize", "reserve", "assign",
     "append", "to_string",
+}
+
+# Library types whose methods are never project functions: a call through a
+# receiver declared with one of these (`std::`-qualified) is a std call —
+# it can allocate (ALLOC_CALLS) but never resolves into project code, however
+# a project member happens to be named.
+STD_CONTAINERS = {
+    "vector", "deque", "list", "forward_list", "array", "map", "set",
+    "multimap", "multiset", "unordered_map", "unordered_set",
+    "unordered_multimap", "unordered_multiset", "string", "basic_string",
+    "priority_queue", "queue", "stack", "bitset", "span", "string_view",
 }
 
 UNORDERED_RE = re.compile(
@@ -303,9 +323,9 @@ ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "|=", "&=", "^=",
               "++", "--", "<<=", ">>="}
 
 # --- hot-cost categories -----------------------------------------------------
-# Weight orders the sa_hot_cost.json report: heap ops dominate (every event
-# pays O(log n) twice), then ordered-map lookups and heavy copies, then the
-# dispatch boundary itself.
+# Weight orders the sa_hot_cost.json report: event-queue ops dominate (every
+# event pays a push and a pop), then ordered-map lookups and heavy copies,
+# then the dispatch boundary itself.
 HOT_COST_WEIGHTS = {
     "heap-op": 5,
     "map-lookup": 4,
@@ -322,7 +342,7 @@ HEAVY_VALUE_TYPES = {
 }
 
 # Mutating calls on the scheduling class's queue storage that constitute an
-# event-queue heap operation.
+# event-queue operation.
 HEAP_MUTATION_CALLS = {
     "push_back", "pop_back", "emplace_back", "push", "pop", "emplace",
     "insert", "erase",
@@ -486,9 +506,17 @@ class FunctionDef:
     simple: str        ##< last component, e.g. "heap_push"
     file: str
     line: int
-    calls: list = field(default_factory=list)       ##< (simple_name, line)
+    ##< (simple_name, line, receiver): receiver is "" for a bare call,
+    ##< "::Q" for a Q::-qualified one, the immediate receiver's name for
+    ##< `x.f()` / `x->f()` / `x[i].f()`, "()g" for a call result
+    ##< `g().f()`, and None when the receiver is an expression the text
+    ##< frontend cannot name (`(*it).f()`)
+    calls: list = field(default_factory=list)
+    ##< declared name -> {type label} for the parameters and locals
+    decl_types: dict = field(default_factory=dict)
+    return_label: str = None  ##< type_label() of the return type, if any
     banned: list = field(default_factory=list)      ##< (what, line)
-    allocs: list = field(default_factory=list)      ##< (what, line)
+    allocs: list = field(default_factory=list)      ##< ("new", line)
     range_fors: list = field(default_factory=list)  ##< (target_id, line)
     switches: list = field(default_factory=list)    ##< SwitchStmt
     is_hot: bool = False
@@ -552,6 +580,7 @@ class TUModel:
     enums: dict = field(default_factory=dict)       ##< name -> [enumerators]
     unordered_decls: set = field(default_factory=set)
     ordered_decls: set = field(default_factory=set)  ##< std::map/set names
+    decl_types: dict = field(default_factory=dict)   ##< name -> {type label}
     classes: list = field(default_factory=list)      ##< ClassDef
     raw_calls: list = field(default_factory=list)   ##< lines with .raw()
     comments: dict = field(default_factory=dict)
@@ -607,30 +636,43 @@ def collect_container_decls(toks, out: set, match_tok):
                     aliases.add(toks[i + 1].text)
                     out.add(toks[i + 1].text)
             continue
-        # skip the template argument list to find the declared name
-        j = i + 1
-        if j < n and toks[j].text == "<":
-            depth = 0
-            while j < n:
-                if toks[j].text == "<":
-                    depth += 1
-                elif toks[j].text == ">":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                elif toks[j].text == ">>":
-                    depth -= 2
-                    if depth <= 0:
-                        break
-                j += 1
+        name = declared_name(toks, i, n)
+        if name is not None:
+            out.add(name)
+
+
+# Tokens that may follow a declared name: `T x;`, `T x = ...`, `T x{...}`,
+# `T x, ...` and a parameter's `T x)`.
+DECL_ENDERS = (";", "=", "{", ",", ")")
+
+
+def declared_name(toks, i, end, enders=DECL_ENDERS):
+    """The name declared by a declaration whose type name is toks[i] —
+    template arguments, `&`, `&&`, `*` and `const` skipped — or None when
+    no declarator followed by one of `enders` comes next."""
+    j = i + 1
+    if j < end and toks[j].text == "<":
+        depth = 0
+        while j < end:
+            if toks[j].text == "<":
+                depth += 1
+            elif toks[j].text == ">":
+                depth -= 1
+                if depth == 0:
+                    break
+            elif toks[j].text == ">>":
+                depth -= 2
+                if depth <= 0:
+                    break
             j += 1
-        # possible &, *, and then the declarator name
-        while j < n and toks[j].text in ("&", "*", "const"):
-            j += 1
-        if j < n and toks[j].kind == "id":
-            nxt = toks[j + 1].text if j + 1 < n else ";"
-            if nxt in (";", "=", "{", ",", ")"):
-                out.add(toks[j].text)
+        j += 1
+    while j < end and toks[j].text in ("&", "&&", "*", "const"):
+        j += 1
+    if j < end and toks[j].kind == "id":
+        nxt = toks[j + 1].text if j + 1 < end else ";"
+        if nxt in enders:
+            return toks[j].text
+    return None
 
 
 def is_unordered_tok(toks, i):
@@ -647,6 +689,102 @@ def is_ordered_tok(toks, i):
 
 def collect_unordered_decls(toks, out: set):
     collect_container_decls(toks, out, is_unordered_tok)
+
+
+def type_label(toks, i):
+    """Type label of a declaration whose type name is toks[i]: "std::X" for
+    a std::-qualified STD_CONTAINERS type, the name itself for a project
+    class (CamelCase by convention), else None (builtins, auto, smart
+    pointers — receivers the resolver does not type)."""
+    text = toks[i].text
+    prev = toks[i - 1].text if i > 0 else ""
+    if prev in (".", "->"):
+        return None
+    if text in STD_CONTAINERS:
+        if i >= 2 and prev == "::" and toks[i - 2].text == "std":
+            return "std::" + text
+        return None
+    if text[:1].isupper() and not text.isupper():
+        return text
+    return None
+
+
+def collect_decl_types(toks, start, end, out: dict):
+    """Records `name -> {type label}` for every declaration in
+    toks[start:end] whose type type_label() can name: `T x;`, `T& x,`,
+    `const T* x = ...`, `T x[n]`, `for (T& x : ...)`. Template arguments of
+    the type are skipped; a name declared with two labels keeps both, and
+    the resolver treats it as untyped."""
+    for i in range(start, end):
+        if toks[i].kind != "id":
+            continue
+        label = type_label(toks, i)
+        if label is None:
+            continue
+        name = declared_name(toks, i, end, DECL_ENDERS + (":", "["))
+        if name is not None:
+            out.setdefault(name, set()).add(label)
+
+
+def call_receiver(toks, i):
+    """Receiver of the call whose name is toks[i] (see FunctionDef.calls)."""
+    prev = toks[i - 1].text if i > 0 else ""
+    if prev == "::":
+        return "::" + toks[i - 2].text if i >= 2 and \
+            toks[i - 2].kind == "id" else "::"
+    if prev not in (".", "->"):
+        return ""
+    k = i - 2
+    while k >= 0 and toks[k].text == "]":  # x[i].f(): the receiver is x
+        depth = 0
+        while k >= 0:
+            if toks[k].text == "]":
+                depth += 1
+            elif toks[k].text == "[":
+                depth -= 1
+                if depth == 0:
+                    break
+            k -= 1
+        k -= 1
+    if k >= 0 and toks[k].text == ")":  # f().g(): typed by f's return
+        depth = 0
+        while k >= 0:
+            if toks[k].text == ")":
+                depth += 1
+            elif toks[k].text == "(":
+                depth -= 1
+                if depth == 0:
+                    break
+            k -= 1
+        k -= 1
+        return "()" + toks[k].text if k >= 0 and toks[k].kind == "id" \
+            and toks[k].text not in CPP_KEYWORDS else None
+    return toks[k].text if k >= 0 and toks[k].kind == "id" else None
+
+
+def return_label(toks, k):
+    """Type label of the return type ending just before toks[k] (the first
+    token of a function definition's name): `std::vector<int>& f(` ->
+    "std::vector", `Port* f(` -> "Port"."""
+    j = k - 1
+    while j >= 0 and toks[j].text in ("&", "*", "&&", "const"):
+        j -= 1
+    if j >= 0 and toks[j].text in (">", ">>"):
+        depth = 0
+        while j >= 0:
+            if toks[j].text == ">":
+                depth += 1
+            elif toks[j].text == ">>":
+                depth += 2
+            elif toks[j].text == "<":
+                depth -= 1
+                if depth <= 0:
+                    break
+            j -= 1
+        j -= 1
+    if j >= 0 and toks[j].kind == "id":
+        return type_label(toks, j)
+    return None
 
 
 def parse_enums(toks, out: dict):
@@ -1187,9 +1325,7 @@ def scan_body(fn: FunctionDef, toks, start, end):
                     args = [a.text for a in toks[i + 2:rp]]
                     if args in ([], ["NULL"], ["nullptr"], ["0"]):
                         fn.banned.append((t.text + "() wall clock", t.line))
-                if t.text in ALLOC_CALLS:
-                    fn.allocs.append((t.text + "()", t.line))
-                fn.calls.append((t.text, t.line))
+                fn.calls.append((t.text, t.line, call_receiver(toks, i)))
                 if t.text == "Lookahead":
                     fn.lookahead_ctors.append(t.line)
                 if t.text in SCHEDULING_CALLS:
@@ -1336,6 +1472,8 @@ def find_function_defs(toks, file, model: TUModel):
                 fn = FunctionDef(
                     name="::".join(name_parts), simple=name_parts[-1],
                     file=file, line=toks[i - 1].line)
+                collect_decl_types(toks, i + 1, be, fn.decl_types)
+                fn.return_label = return_label(toks, k)
                 fn.heavy_params = heavy_value_params(toks, i, rp)
                 fn.packet_params = raw_packet_params(toks, i, rp)
                 scan_body(fn, toks, j + 1, be)
@@ -1374,6 +1512,7 @@ def text_parse_file(path: Path, rel: str) -> TUModel:
     parse_enums(toks, model.enums)
     collect_unordered_decls(toks, model.unordered_decls)
     collect_container_decls(toks, model.ordered_decls, is_ordered_tok)
+    collect_decl_types(toks, 0, len(toks), model.decl_types)
     parse_classes(toks, rel, model.classes)
     find_function_defs(toks, rel, model)
     attribute_owners(model)
@@ -1538,6 +1677,39 @@ class Analyzer:
                     continue
                 self.accessor_domain[aname] = (rclass, rdom)
         self._packet_type_memo: dict[str, bool] = {}
+        # --- call resolution by receiver type ----------------------------
+        # A declared name keeps its type label only when every declaration
+        # across the tree agrees; the function's own parameters and locals
+        # are consulted first (FunctionDef.decl_types).
+        merged: dict = {}
+        for m in models:
+            for name, labels in m.decl_types.items():
+                merged.setdefault(name, set()).update(labels)
+        self.global_types = {name: next(iter(labels))
+                             for name, labels in merged.items()
+                             if len(labels) == 1}
+        returns: dict = {}
+        for m in models:
+            for fn in m.functions:
+                returns.setdefault(fn.simple, set()).add(fn.return_label)
+        self.return_types = {name: next(iter(labels))
+                             for name, labels in returns.items()
+                             if len(labels) == 1}
+        self.methods: dict = {}   ##< (owner, simple) -> [FunctionDef]
+        self.free_fns: dict = {}  ##< simple -> [FunctionDef], no owner
+        for m in models:
+            for fn in m.functions:
+                if fn.owner:
+                    self.methods.setdefault(
+                        (fn.owner, fn.simple), []).append(fn)
+                else:
+                    self.free_fns.setdefault(fn.simple, []).append(fn)
+        self.derived: dict = {}  ##< class -> direct subclasses
+        for cd in self.classes.values():
+            for b in cd.bases:
+                self.derived.setdefault(b, set()).add(cd.name)
+        self._family_memo: dict = {}
+        self._resolve_memo: dict = {}
 
     def is_packet_type(self, name: str) -> bool:
         """Packet-type registry: the `Packet` base, anything whose name
@@ -1578,6 +1750,103 @@ class Analyzer:
 
     # --- helpers -----------------------------------------------------------
 
+    def class_family(self, cls: str) -> set:
+        """`cls`, its base chain and every class derived from it: the
+        classes whose member a call through a `cls` receiver can run."""
+        if cls in self._family_memo:
+            return self._family_memo[cls]
+        family = {cls}
+        stack = [cls]
+        while stack:  # bases
+            cd = self.classes.get(stack.pop())
+            for b in (cd.bases if cd is not None else ()):
+                if b not in family:
+                    family.add(b)
+                    stack.append(b)
+        stack = [cls]
+        while stack:  # overrides
+            for d in self.derived.get(stack.pop(), ()):
+                if d not in family:
+                    family.add(d)
+                    stack.append(d)
+        self._family_memo[cls] = family
+        return family
+
+    def family_methods(self, cls: str, name: str) -> list:
+        return [f for c in sorted(self.class_family(cls))
+                for f in self.methods.get((c, name), ())]
+
+    def resolve_call(self, fn: FunctionDef, name: str, recv):
+        """Classifies one call of `fn` by its receiver's declared type and
+        returns (kind, targets):
+
+          "std"      the receiver is a std container (or the call is
+                     std::-qualified): it may allocate, but it never runs
+                     project code, whatever a project member is named;
+          "project"  a bare or this-> call to a method of fn's class family,
+                     a bare call to a free project function, or a call
+                     through a receiver of project-class type: it runs
+                     exactly those functions and is not itself a std
+                     allocation, even when named `append` or `insert`;
+          "unknown"  the receiver cannot be typed: resolved by simple name,
+                     and an ALLOC_CALLS name also counts as an allocation."""
+        memo_key = (fn.file, fn.name, fn.line, name, recv)
+        hit = self._resolve_memo.get(memo_key)
+        if hit is not None:
+            return hit
+        by_name = self.by_simple.get(name, [])
+        result = ("unknown", by_name)
+        if recv == "::std":
+            result = ("std", [])
+        elif recv in ("", "this"):
+            members = self.family_methods(fn.owner, name) if fn.owner \
+                else []
+            if members:
+                result = ("project", members)
+            elif recv == "" and name in self.free_fns:
+                result = ("project", self.free_fns[name])
+        elif recv is not None and recv.startswith("::"):
+            members = self.family_methods(recv[2:], name)
+            if members:
+                result = ("project", members)
+            elif by_name:
+                result = ("project", by_name)
+        elif recv is not None:
+            label = self.receiver_label(fn, recv)
+            if label is not None and label.startswith("std::"):
+                result = ("std", [])
+            elif label in self.classes:
+                members = self.family_methods(label, name)
+                if members:
+                    result = ("project", members)
+        self._resolve_memo[memo_key] = result
+        return result
+
+    def receiver_label(self, fn: FunctionDef, recv: str):
+        """Declared type label of a named receiver: fn's own parameters and
+        locals first, then the tree-wide registry; a call result `()f` is
+        typed by f's return type. None when declarations disagree."""
+        if recv.startswith("()"):
+            return self.return_types.get(recv[2:])
+        labels = fn.decl_types.get(recv)
+        if labels:
+            return next(iter(labels)) if len(labels) == 1 else None
+        return self.global_types.get(recv)
+
+    def callees(self, fn: FunctionDef):
+        for name, _line, recv in fn.calls:
+            yield from self.resolve_call(fn, name, recv)[1]
+
+    def alloc_sites(self, fn: FunctionDef):
+        """fn's allocations: `new` plus ALLOC_CALLS-named calls that are not
+        project calls (see resolve_call)."""
+        sites = list(fn.allocs)
+        for name, line, recv in fn.calls:
+            if name in ALLOC_CALLS and \
+                    self.resolve_call(fn, name, recv)[0] != "project":
+                sites.append((name + "()", line))
+        return sites
+
     def emit(self, finding: Finding):
         file_cover = self.cover.get(finding.file, {})
         sup = file_cover.get(finding.rule, {}).get(finding.line)
@@ -1595,13 +1864,12 @@ class Analyzer:
             if key in seen:
                 continue
             seen.add(key)
-            for callee, _ in fn.calls:
-                for target in self.by_simple.get(callee, ()):
-                    if scope_prefixes is not None and not any(
-                            target.file.startswith(p)
-                            for p in scope_prefixes):
-                        continue
-                    frontier.append(target)
+            for target in self.callees(fn):
+                if scope_prefixes is not None and not any(
+                        target.file.startswith(p)
+                        for p in scope_prefixes):
+                    continue
+                frontier.append(target)
         return seen
 
     def find_path(self, root, goal_key, scope_prefixes=None):
@@ -1618,13 +1886,12 @@ class Analyzer:
             if key in seen:
                 continue
             seen.add(key)
-            for callee, _ in fn.calls:
-                for target in self.by_simple.get(callee, ()):
-                    if scope_prefixes is not None and not any(
-                            target.file.startswith(p)
-                            for p in scope_prefixes):
-                        continue
-                    q.append((target, path + [target.name]))
+            for target in self.callees(fn):
+                if scope_prefixes is not None and not any(
+                        target.file.startswith(p)
+                        for p in scope_prefixes):
+                    continue
+                q.append((target, path + [target.name]))
         return []
 
     # --- rules -------------------------------------------------------------
@@ -1781,7 +2048,7 @@ class Analyzer:
     def rule_hot_cost(self):
         """Per-event cost beyond allocation on sa-hot-reachable paths:
         heavy pass-by-value copies, virtual dispatch, ordered std::map/set
-        lookups, and event-queue heap operations (type-recognized via
+        lookups, and event-queue operations (type-recognized via
         ClassDef.eventq_members plus the schedule API itself). Every site —
         suppressed or not — lands in hot_cost_sites for the ranked
         sa_hot_cost.json report; unsuppressed sites are findings."""
@@ -1820,10 +2087,10 @@ class Analyzer:
                             base in self.eventq_fields:
                         sites.append((
                             "heap-op", line,
-                            f"event-queue heap operation {base}."
-                            f"{method}() — every event pays the O(log n) "
-                            f"sift"))
-                for callee, line in fn.calls:
+                            f"event-queue storage operation {base}."
+                            f"{method}() — paid on every event that "
+                            f"reaches it"))
+                for callee, line, _recv in fn.calls:
                     # The scheduling API's own forwarding shims are where
                     # every timer legitimately enters the heap; the push
                     # is charged once, at the call site into the API, not
@@ -1833,8 +2100,8 @@ class Analyzer:
                         sites.append((
                             "heap-op", line,
                             f"{callee}() pushes into the simulator event "
-                            f"heap from the hot path — O(log n) per "
-                            f"call"))
+                            f"queue from the hot path — one queue insert "
+                            f"per call"))
                 for cat, line, msg in sites:
                     if (fn.file, line, cat) in reported:
                         continue
@@ -1866,7 +2133,7 @@ class Analyzer:
                 key = (fn.file, fn.name, fn.line)
                 if key not in reachable:
                     continue
-                for what, line in fn.allocs:
+                for what, line in self.alloc_sites(fn):
                     if (fn.file, line, what) in reported:
                         continue
                     reported.add((fn.file, line, what))

@@ -9,18 +9,23 @@ into one document, and optionally compares against previous records so a
 perf regression (or an accidental simulation change — the fingerprints
 shift) is visible in review.
 
---compare names the immediate predecessor, which anchors the fingerprint
-diff (that record defines the currently-expected simulation). The perf bar,
-however, is the BEST total events/sec across every prior BENCH_*.json in
-the repo root: a regression must clear the historical high-water mark, not
-just a slow immediate predecessor.
+--compare names the immediate predecessor, which anchors the fingerprints:
+that record defines the currently-expected simulation, and a scenario whose
+fingerprint differs from it (or is missing) fails the comparison, because
+its timing no longer measures the same simulation. A deliberate behaviour
+change passes --accept-fingerprint-change and commits the new record. The
+perf bar, however, is the BEST total events/sec across every prior
+BENCH_*.json in the repo root: a regression must clear the historical
+high-water mark, not just a slow immediate predecessor.
 
 Usage:
-  tools/record_bench.py [--build-dir build] [--out BENCH_7.json]
-                        [--compare BENCH_6.json] [--min-speedup 0.8]
+  tools/record_bench.py [--build-dir build] [--out BENCH_8.json]
+                        [--compare BENCH_7.json] [--min-speedup 0.8]
+                        [--accept-fingerprint-change]
 
 Exit status: 0 on success; 1 when the binary fails, output is malformed,
-or --compare finds a slowdown past --min-speedup.
+or --compare finds a fingerprint change (unless accepted) or a slowdown
+past --min-speedup.
 """
 
 from __future__ import annotations
@@ -129,7 +134,7 @@ def prior_records(baseline_path: Path, out_path: Path) -> list[tuple[Path, dict]
 
 
 def compare(record: dict, baseline_path: Path, min_speedup: float,
-            out_path: Path) -> int:
+            out_path: Path, accept_fingerprint_change: bool = False) -> int:
     baseline = json.loads(baseline_path.read_text())
     status = 0
     # A record with zero scenarios must fail loudly: iterating an empty list
@@ -142,12 +147,21 @@ def compare(record: dict, baseline_path: Path, min_speedup: float,
                  f"refusing to compare against an empty record")
     old_fp = {s["protocol"]: s.get("fingerprint_fnv1a")
               for s in baseline.get("scenarios", [])}
-    for s in record["scenarios"]:
-        fp = old_fp.get(s["protocol"])
-        if fp is not None and fp != s["fingerprint_fnv1a"]:
-            print(f"note: {s['protocol']} fingerprint changed "
-                  f"{fp} -> {s['fingerprint_fnv1a']} — the simulation "
-                  f"itself changed, perf deltas are not comparable")
+    new_fp = {s["protocol"]: s.get("fingerprint_fnv1a")
+              for s in record["scenarios"]}
+    for protocol, fp in sorted(old_fp.items()):
+        now = new_fp.get(protocol, "<missing>")
+        if fp is None or fp == now:
+            continue
+        if accept_fingerprint_change:
+            print(f"note: {protocol} fingerprint changed {fp} -> {now}, "
+                  f"accepted by --accept-fingerprint-change — perf deltas "
+                  f"are not comparable")
+        else:
+            print(f"FAIL: {protocol} fingerprint changed {fp} -> {now} — "
+                  f"the simulation itself changed; pass "
+                  f"--accept-fingerprint-change if that is deliberate")
+            status = 1
     # The perf bar is the best total across every prior record, not just the
     # named baseline — otherwise one slow PR lowers the bar for the next.
     priors = prior_records(baseline_path, out_path)
@@ -173,9 +187,13 @@ def compare(record: dict, baseline_path: Path, min_speedup: float,
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--build-dir", default="build", type=Path)
-    ap.add_argument("--out", default=REPO / "BENCH_7.json", type=Path)
+    ap.add_argument("--out", default=REPO / "BENCH_8.json", type=Path)
     ap.add_argument("--compare", type=Path, default=None,
                     help="previous BENCH_*.json to diff against")
+    ap.add_argument("--accept-fingerprint-change", action="store_true",
+                    help="let --compare pass when a scenario's fingerprint "
+                         "differs from the baseline's (a deliberate "
+                         "behaviour change)")
     ap.add_argument("--min-speedup", type=float, default=0.8,
                     help="fail --compare below this new/old events-per-sec "
                          "ratio (default 0.8: 20%% slowdown budget for "
@@ -195,7 +213,8 @@ def main() -> int:
           f"sim-sec/wall-sec over {len(record['scenarios'])} scenarios "
           f"({host['cpu_count']} cores, {host['cmake_build_type']})")
     if args.compare:
-        return compare(record, args.compare, args.min_speedup, args.out)
+        return compare(record, args.compare, args.min_speedup, args.out,
+                       args.accept_fingerprint_change)
     return 0
 
 
